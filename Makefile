@@ -2,10 +2,12 @@
 
 GO ?= go
 BENCH_OUT ?= bench.out
-# One benchmark snapshot per perf PR; bench compares the fresh snapshot's
-# query-count metrics against the committed baseline of the previous PR.
-BENCH_JSON ?= BENCH_8.json
-BENCH_BASELINE ?= BENCH_7.json
+# One benchmark snapshot per perf PR: bench compares the fresh snapshot's
+# query-count metrics against the highest-numbered committed BENCH_<n>.json
+# and writes BENCH_<n+1>.json, so no PR bumps these names by hand.
+BENCH_LAST := $(shell { git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json; } | sed 's/[^0-9]//g' | sort -n | tail -n 1)
+BENCH_BASELINE ?= BENCH_$(BENCH_LAST).json
+BENCH_JSON ?= BENCH_$(shell expr $(BENCH_LAST) + 1).json
 # Minimum statement coverage (percent) for the algorithm, server-contract,
 # pipelined-dispatcher, session, fault-injection, retrying-transport,
 # index-engine, disk-engine, dataset-factory and shared-memo packages,

@@ -19,7 +19,7 @@
 //
 // Open maps the file read-only and assembles one index.Store per priority
 // band from artifacts aliasing the mapped pages (index.NewFromArtifacts):
-// the planner v2 cost model, the plan cache, and all five access paths run
+// the planner's cost model and all five access paths run
 // unchanged against on-disk postings. Three properties make the disk
 // engine's behaviour bit-identical to the in-memory engine over the same
 // relation:
@@ -52,6 +52,7 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 
 	"hidb/internal/dataspace"
@@ -349,8 +350,8 @@ func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 		got := b.Select(q, want-len(out)-1)
 		if out == nil {
 			out = got // common case: the first band already decides
-		} else {
-			out = append(out, got...)
+		} else if len(got) > 0 {
+			out = slices.Concat(out, got) // one allocation sized to fit, no append growth
 		}
 		if len(out) >= want {
 			break

@@ -3,6 +3,7 @@ package diskstore
 import (
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,17 +117,10 @@ func TestDiskMatchesMemAcrossPatterns(t *testing.T) {
 					t.Fatalf("trial %d: Count = %d, want %d", trial, got, want)
 				}
 			}
-			dps, mps := disk.PlanStats(), mem.PlanStats()
-			if dps.Shapes != mps.Shapes || dps.Hits != mps.Hits || dps.Misses != mps.Misses {
-				t.Fatalf("plan cache diverged: disk %+v, mem %+v", dps, mps)
-			}
-			for path, c := range mps.Paths {
-				if dps.Paths[path] != c {
-					t.Fatalf("plan choices diverged on %s: disk %d, mem %d (disk %v, mem %v)", path, dps.Paths[path], c, dps.Paths, mps.Paths)
-				}
-			}
-			if len(dps.Paths) != len(mps.Paths) {
-				t.Fatalf("plan choices diverged: disk %v, mem %v", dps.Paths, mps.Paths)
+			// The planner is a pure function of the query and the index
+			// artifacts, so both engines execute the same paths.
+			if dps, mps := disk.PlanStats(), mem.PlanStats(); !maps.Equal(dps.Paths, mps.Paths) || dps.Misses != mps.Misses {
+				t.Fatalf("plan choices diverged: disk %+v, mem %+v", dps, mps)
 			}
 		})
 	}

@@ -95,20 +95,20 @@ func BenchmarkSelectIntersectPostingRange(b *testing.B) {
 }
 
 // BenchmarkSelectGallop pins the galloping-merge intersection itself
-// (bypassing the planner's cache heuristic, which prefers column probes at
-// this store size), so regressions in the large-store path stay visible.
+// (bypassing useGallop, which prefers column probes at this store size), so
+// regressions in the large-store path stay visible.
 func BenchmarkSelectGallop(b *testing.B) {
 	s := benchStore(b)
 	q := dataspace.UniverseQuery(s.Schema()).WithValue(0, 3).WithValue(1, 7)
 	preds := q.Preds()
-	pl := s.choosePlan(preds, s.Size()/4)
+	pl := s.candidates(preds)
 	if pl.secondary < 0 || !s.isCat[pl.secondary] {
 		b.Fatal("expected a posting ∩ posting plan")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.selectGallop(preds, pl, 65); len(got) != 65 {
+		if got := s.selectGallop(preds, &pl, 65); len(got) != 65 {
 			b.Fatalf("gallop returned %d tuples", len(got))
 		}
 	}

@@ -27,6 +27,11 @@ const (
 	containerRun
 )
 
+// maxBitmapAttrs bounds the attributes one bitmap plan can AND: a plan
+// carries its bitmap attribute set as a uint64 mask, so only the first 64
+// attributes of a schema are bitmap-planned.
+const maxBitmapAttrs = 64
+
 // bitmapWords is the word count of a dense container: 65536 ranks / 64.
 const bitmapWords = 1 << 10
 
@@ -333,7 +338,7 @@ const sparseIntersectMax = 256
 // capture the caller's accumulator and drag it to the heap, breaking the
 // one-allocation Select contract.
 func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []int32 {
-	var idxArr [shapeMaxDims]int
+	var idxArr [maxBitmapAttrs]int
 	cur := bitmapCursor{bms: bms}
 	if len(bms) <= len(idxArr) {
 		cur.idx = idxArr[:len(bms)]
@@ -452,7 +457,7 @@ func countSparse(bms []*rankBitmap, idx []int, small int, sc *container) int {
 // blocks are popcounted word-parallel. words must be a bitmapWords-long
 // scratch slice.
 func intersectCount(bms []*rankBitmap, words []uint64) int {
-	var idxArr [shapeMaxDims]int
+	var idxArr [maxBitmapAttrs]int
 	cur := bitmapCursor{bms: bms}
 	if len(bms) <= len(idxArr) {
 		cur.idx = idxArr[:len(bms)]

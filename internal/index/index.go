@@ -14,7 +14,7 @@
 // schema lookup (the attribute kinds are flattened into a []bool once at
 // build time).
 //
-// # Access paths (planner v2)
+// # Access paths
 //
 // Five access paths are maintained and chosen between per query, the way a
 // (very small) relational engine would:
@@ -42,42 +42,42 @@
 // Every path returns the same tuples in the same order; the planner's
 // choice affects time only, never results.
 //
-// # Cost model
+// # Planner
 //
-// Costs are measured, not assumed. Each Store samples its relation at
-// construction (stats.go): the scan's expected cost is want/jointSel — how
-// deep the early-exiting scan must go before it has collected limit+1
-// matches, with jointSel the full conjunction's selectivity evaluated on
-// the sample — clamped to n. Index-path costs come from exact candidate
-// counts (posting-list length, binary-searched range width) with small
-// constant factors for the per-candidate work (probe ≈ 2×, sort-restoring
-// range enumeration ≈ 3×), and the bitmap path costs its word-AND sweep
-// (n/64 words per attribute) plus ~1.5× the expected intersection size.
-// The cheapest path wins. Count keeps the v1 planner (choosePlan, full n as
-// the scan cost, since counting cannot early-exit) plus a popcount fast
-// path when every bound predicate is bitmap-indexed.
+// One planner serves Select and Count, and it plans every query from the
+// query's own values: the cost of a top-k answer depends on the actual
+// candidate sets, not on which attributes the query binds. Its candidate
+// step (candidates) is one pass over the predicates that reads each bound
+// predicate's exact candidate count — posting-list length or
+// binary-searched range width, O(d log n) in all — and keeps the posting
+// lists and segment bounds of the two tightest predicates plus the set of
+// bitmap-indexed equality attributes. The plan is a stack value; nothing is
+// cached between queries.
 //
-// # Plan cache
-//
-// The chosen path is memoized per query shape — the per-attribute predicate
-// kinds, not the values — in a lock-free copy-on-write cache (plancache.go),
-// so the steady state of every crawl algorithm (thousands of queries in a
-// handful of shapes) skips planning entirely. A cached plan fixes only the
-// structural decision (path kind and driving attributes); posting lists,
-// range bounds and bitmaps are re-fetched from the query's actual values at
-// execution time, which is what makes a shape-cached plan correct for every
-// query of its shape. Store.PlanStats exposes the cache's hit counters and
-// per-path execution counts.
+// Pricing (choose) compares costs in ranks touched. Index paths cost their
+// exact candidate count with small constant factors for the per-candidate
+// work (probe ≈ 2×, sort-restoring range enumeration ≈ 3×); the bitmap path
+// costs its word-AND sweep (n/64 words per attribute) plus ~1.5× the
+// expected intersection size. The scan costs n for Count, which cannot
+// early-exit, and want/jointSel for Select — how deep the early-exiting
+// scan must go before it has collected limit+1 matches — clamped to n.
+// jointSel is the whole conjunction's selectivity measured on the Store's
+// sample (stats.go), capped at m₁/n, the tightest predicate's exact
+// selectivity. That cap makes want·n/m₁ a lower bound on the scan cost, so
+// the sample is evaluated only when the best index or bitmap cost exceeds
+// the bound; most crawl queries never reach it. Ties go to the index path.
+// Count additionally answers a single bound predicate from its candidate
+// count and an all-bitmap conjunction with a popcount.
 //
 // # Allocation discipline
 //
-// Select performs one allocation per call — the result slice, sized
-// exactly min(limit+1, candidates) — regardless of access path. The
-// numeric-range and bitmap paths need intermediate rank buffers; they
-// filter into sync.Pool-recycled scratch (ranks and bitmap words) and sort
-// with the allocation-free slices.Sort. Count allocates nothing. The
-// scratch pools are per-Store, so the shards of a Sharded store never
-// contend on a shared pool.
+// Select performs one allocation per call — the result slice, sized exactly
+// to the number of returned tuples — regardless of access path: every path
+// collects result ranks in sync.Pool-recycled scratch (ranks and bitmap
+// words, sorted with the allocation-free slices.Sort where needed) and
+// materializes tuples once at the end. Count allocates nothing. The scratch
+// pools are per-Store, so the shards of a Sharded store never contend on a
+// shared pool.
 package index
 
 import (
@@ -87,6 +87,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hidb/internal/dataspace"
 )
@@ -129,8 +130,8 @@ type Store struct {
 	// stats is the sampled selectivity statistics driving the cost model.
 	// Shards of a Sharded store share one instance.
 	stats *SelStats
-	// pc is the per-shape plan cache plus the planner counters.
-	pc *planCache
+	// paths counts Select executions per access path.
+	paths [numPaths]atomic.Int64
 	// scratch recycles the rank buffers of the numeric-range and bitmap
 	// paths. It is per-Store (not package-global) so that independent
 	// shards of a Sharded store never contend on one pool.
@@ -185,7 +186,6 @@ func newWithStats(schema *dataspace.Schema, byRank []dataspace.Tuple, stats *Sel
 		sortedRank: make([][]int32, d),
 		rankPos:    make([][]int32, d),
 		stats:      stats,
-		pc:         newPlanCache(),
 	}
 	for i := 0; i < d; i++ {
 		col := make([]int64, n)
@@ -308,7 +308,6 @@ func NewFromArtifacts(schema *dataspace.Schema, a Artifacts) (*Store, error) {
 		sortedRank: a.SortedRank,
 		rankPos:    a.RankPos,
 		stats:      a.Stats,
-		pc:         newPlanCache(),
 	}
 	for i := 0; i < d; i++ {
 		attr := schema.Attr(i)
@@ -373,9 +372,56 @@ func (s *Store) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }
 // Stats returns the store's sampled selectivity statistics.
 func (s *Store) Stats() *SelStats { return s.stats }
 
-// PlanStats returns the planner's cumulative counters: cached shapes, plan
-// cache hits and misses, and per-access-path Select execution counts.
-func (s *Store) PlanStats() PlanStats { return s.pc.stats() }
+// PlanStats returns the planner's cumulative per-access-path Select
+// execution counts.
+func (s *Store) PlanStats() PlanStats {
+	ps := PlanStats{Paths: make(map[string]int64, numPaths)}
+	for i, name := range pathNames {
+		if v := s.paths[i].Load(); v != 0 {
+			ps.Paths[name] = v
+			ps.Misses += v
+		}
+	}
+	return ps
+}
+
+// PlanStats reports how often each access path executed a Select.
+// Counters are cumulative since Store construction.
+type PlanStats struct {
+	// Hits is always 0 and Misses counts planned Selects (every Select is
+	// planned from its own values). Both, like HitRate, remain only for
+	// readers of the former plan-cache counters, such as the benchmark
+	// harness in perfbench/.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Paths counts Select executions per access path, keyed "scan",
+	// "posting", "gallop", "range", "bitmap".
+	Paths map[string]int64 `json:"paths,omitempty"`
+}
+
+// HitRate returns Hits / (Hits + Misses), 0 when nothing was planned —
+// always 0 now that nothing is cached; see Hits.
+func (ps PlanStats) HitRate() float64 {
+	total := ps.Hits + ps.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(ps.Hits) / float64(total)
+}
+
+// Merge accumulates o into ps — the aggregation a partitioned engine
+// (Sharded, or a banded disk store) uses to report one planner view over
+// its partitions.
+func (ps *PlanStats) Merge(o PlanStats) {
+	ps.Hits += o.Hits
+	ps.Misses += o.Misses
+	if ps.Paths == nil {
+		ps.Paths = make(map[string]int64, numPaths)
+	}
+	for k, v := range o.Paths {
+		ps.Paths[k] += v
+	}
+}
 
 // coversAt reports whether the tuple at rank r satisfies every predicate,
 // reading the columns directly.
@@ -442,44 +488,59 @@ func rangeBounds(vals []int64, lo, hi int64) (from, to int) {
 	return from, to
 }
 
-// plan describes the value-specific execution of one query: a primary
-// candidate enumerator plus an optional secondary intersection filter. It
-// is rebuilt per query (buildPlan) from the shape-cached structural
-// decision, or computed from scratch by choosePlan (the v1 planner, still
-// the exact-cost engine behind Count).
+// pathKind identifies one access path of the engine.
+type pathKind uint8
+
+const (
+	pathScan    pathKind = iota // chunked priority-order columnar scan
+	pathPosting                 // posting-list walk, optional secondary probe
+	pathGallop                  // posting ∩ posting galloping merge
+	pathRange                   // sorted-segment enumeration + rank re-sort
+	pathBitmap                  // word-parallel bitmap AND
+	numPaths
+)
+
+// pathNames maps pathKind to the stable names PlanStats reports.
+var pathNames = [numPaths]string{"scan", "posting", "gallop", "range", "bitmap"}
+
+// plan is one query's access path plus the value-specific artifacts the
+// path runs on. candidates fills in everything but path; choose prices the
+// options and sets it.
 type plan struct {
-	// primary is the attribute of the primary access path; -1 means the
-	// priority-ordered columnar scan.
+	path pathKind
+	// bound counts the predicates that constrain the query at all.
+	bound int
+	// primary is the bound attribute with the fewest candidates; -1 when
+	// nothing is bound.
 	primary int
-	// m is the primary path's exact candidate count.
+	// m is the primary's exact candidate count (n when nothing is bound).
 	m int
 	// list is the primary posting list (categorical primary).
 	list []int32
 	// from, to bound the primary sorted-column segment (numeric primary).
 	from, to int
-	// secondary is the attribute of the second-tightest path; -1 = none.
+	// secondary is the bound attribute with the second-fewest candidates;
+	// -1 = none.
 	secondary int
-	// secList is the secondary posting list (categorical secondary under a
-	// categorical primary — the galloping-merge case).
+	// secList is the secondary posting list (categorical secondary).
 	secList []int32
 	// secFrom, secTo bound the secondary rank→sorted-position window
 	// (numeric secondary).
 	secFrom, secTo int32
-	// bound counts the predicates that constrain the query at all.
-	bound int
+	// bitmaps is the set of bound equality attributes that carry a bitmap
+	// index, as a bitmask, and bmSel the product of their exact
+	// selectivities (the independence estimate of their intersection).
+	bitmaps uint64
+	bmSel   float64
 }
 
-// choosePlan picks the cheapest access path for the predicates from exact
-// candidate counts. maxCost is the candidate count above which the scan
-// wins (n for Count, whose scan cannot early-exit). Select no longer calls
-// this — planPath replaces the fixed margin with the sampled cost model —
-// but Count and the forced-path tests still do.
-func (s *Store) choosePlan(preds []dataspace.Pred, maxCost int) plan {
-	pl := plan{primary: -1, secondary: -1}
-	best1, best2 := -1, -1
-	var m1, m2 int
-	var list1, list2 []int32
-	var from1, to1, from2, to2 int
+// candidates is the planner's candidate step, shared by Select and Count:
+// one pass over the predicates reading each bound predicate's exact
+// candidate count.
+func (s *Store) candidates(preds []dataspace.Pred) plan {
+	pl := plan{primary: -1, secondary: -1, m: s.n, bmSel: 1}
+	var m2, from2, to2 int
+	var list2 []int32
 	for i := range preds {
 		p := &preds[i]
 		var m, from, to int
@@ -490,6 +551,10 @@ func (s *Store) choosePlan(preds []dataspace.Pred, maxCost int) plan {
 			}
 			list = s.post[i][p.Value]
 			m = len(list)
+			if i < maxBitmapAttrs && s.bitmaps[i] != nil {
+				pl.bitmaps |= 1 << uint(i)
+				pl.bmSel *= float64(m) / float64(s.n)
+			}
 		} else {
 			if p.Lo == dataspace.NegInf && p.Hi == dataspace.PosInf {
 				continue
@@ -499,27 +564,56 @@ func (s *Store) choosePlan(preds []dataspace.Pred, maxCost int) plan {
 		}
 		pl.bound++
 		switch {
-		case best1 < 0 || m < m1:
-			best2, m2, list2, from2, to2 = best1, m1, list1, from1, to1
-			best1, m1, list1, from1, to1 = i, m, list, from, to
-		case best2 < 0 || m < m2:
-			best2, m2, list2, from2, to2 = i, m, list, from, to
+		case pl.primary < 0 || m < pl.m:
+			pl.secondary, m2, list2, from2, to2 = pl.primary, pl.m, pl.list, pl.from, pl.to
+			pl.primary, pl.m, pl.list, pl.from, pl.to = i, m, list, from, to
+		case pl.secondary < 0 || m < m2:
+			pl.secondary, m2, list2, from2, to2 = i, m, list, from, to
 		}
 	}
-	if best1 < 0 || m1 > maxCost {
-		return plan{primary: -1, secondary: -1, bound: pl.bound}
-	}
-	pl.primary, pl.m = best1, m1
-	pl.list, pl.from, pl.to = list1, from1, to1
-	if best2 >= 0 {
-		pl.secondary = best2
-		if s.isCat[best2] {
+	if pl.secondary >= 0 {
+		if s.isCat[pl.secondary] {
 			pl.secList = list2
 		} else {
 			pl.secFrom, pl.secTo = int32(from2), int32(to2)
 		}
 	}
 	return pl
+}
+
+// choose prices the candidate step's access paths (see the package
+// comment) and sets pl.path to the cheapest. want is a Select's limit+1;
+// want 0 prices a Count, whose scan cannot early-exit.
+func (s *Store) choose(pl *plan, preds []dataspace.Pred, want int) {
+	pl.path = pathScan
+	if pl.primary < 0 {
+		return
+	}
+	n := float64(s.n)
+	path, best := pathPosting, 2*float64(pl.m)
+	switch {
+	case !s.isCat[pl.primary]:
+		path, best = pathRange, 3*float64(pl.m)
+	case pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), s.n):
+		path = pathGallop
+	}
+	if k := bits.OnesCount64(pl.bitmaps); k >= 2 {
+		if c := n/64*float64(k) + 1.5*n*pl.bmSel; c < best {
+			path, best = pathBitmap, c
+		}
+	}
+	scan := n
+	if want > 0 && pl.m > 0 {
+		// jointSel is capped at m/n, so the scan reads at least want·n/m
+		// ranks; only a best cost above that bound needs the sample.
+		scan = min(n, float64(want)*n/float64(pl.m))
+		if best > scan {
+			scan = min(n, max(scan, float64(want)/s.stats.jointSel(preds)))
+		}
+	}
+	if best <= scan {
+		pl.path = path
+	}
 }
 
 // getScratch returns a pooled rank buffer with at least the given capacity,
@@ -532,6 +626,30 @@ func (s *Store) getScratch(capacity int) *[]int32 {
 	return p
 }
 
+// putScratch returns a rank buffer (possibly grown to ranks) to the pool.
+func (s *Store) putScratch(bufp *[]int32, ranks []int32) {
+	*bufp = ranks[:0]
+	s.scratch.Put(bufp)
+}
+
+// tuples materializes result ranks as the exactly sized slice that is a
+// Select's one allocation.
+func (s *Store) tuples(ranks []int32) []dataspace.Tuple {
+	out := make([]dataspace.Tuple, len(ranks))
+	for i, r := range ranks {
+		out[i] = s.tupleAt(r)
+	}
+	return out
+}
+
+// emit materializes the result ranks collected in a pooled buffer and
+// recycles the buffer.
+func (s *Store) emit(bufp *[]int32, ranks []int32) []dataspace.Tuple {
+	out := s.tuples(ranks)
+	s.putScratch(bufp, ranks)
+	return out
+}
+
 // Select returns up to limit+1 tuples matching q, in descending priority
 // order. Returning limit+1 tuples signals the caller that the true result
 // exceeds limit (the server's overflow condition). The returned slice shares
@@ -542,171 +660,21 @@ func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 	}
 	want := limit + 1
 	preds := q.Preds()
-	key, ok := shapeKey(s.isCat, preds)
-	var cp *cachedPlan
-	if ok {
-		cp = s.pc.get(key)
-	} else {
-		s.pc.misses.Add(1)
-	}
-	if cp == nil {
-		cp = s.planPath(preds, want)
-		if ok {
-			s.pc.put(key, cp)
-		}
-	}
-	return s.execSelect(cp, preds, want)
-}
-
-// planPath chooses the access path for a query whose shape has no cached
-// plan yet, using the sampled cost model (see the package comment). The
-// returned plan carries only the structural decision; execSelect re-derives
-// the value-specific artifacts per query.
-func (s *Store) planPath(preds []dataspace.Pred, want int) *cachedPlan {
-	n := s.n
-	best1, best2 := -1, -1
-	var m1, m2 int
-	var bmAttrs []int8
-	var bmSkip uint64
-	bmSel := 1.0
-	bound := 0
-	useBitmaps := len(preds) <= shapeMaxDims
-	for i := range preds {
-		p := &preds[i]
-		var m int
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			m = len(s.post[i][p.Value])
-			if useBitmaps && s.bitmaps[i] != nil {
-				bmAttrs = append(bmAttrs, int8(i))
-				bmSkip |= 1 << uint(i)
-				bmSel *= float64(m) / float64(n)
-			}
-		} else {
-			if p.Lo == dataspace.NegInf && p.Hi == dataspace.PosInf {
-				continue
-			}
-			from, to := rangeBounds(s.sortedVal[i], p.Lo, p.Hi)
-			m = to - from
-		}
-		bound++
-		switch {
-		case best1 < 0 || m < m1:
-			best2, m2 = best1, m1
-			best1, m1 = i, m
-		case best2 < 0 || m < m2:
-			best2, m2 = i, m
-		}
-	}
-	_ = m2
-	// Expected ranks the chunked scan reads before collecting want matches.
-	scanCost := float64(n)
-	if c := float64(want) / s.stats.jointSel(preds); c < scanCost {
-		scanCost = c
-	}
-	cp := &cachedPlan{path: pathScan, primary: -1, secondary: -1}
-	bestCost := scanCost
-	if best1 >= 0 {
-		var idxCost float64
-		var path pathKind
-		if s.isCat[best1] {
-			// Posting walk: one secondary probe + residual check per candidate.
-			idxCost = 2 * float64(m1)
-			path = pathPosting
-		} else {
-			// Range enumeration pays an extra rank re-sort.
-			idxCost = 3 * float64(m1)
-			path = pathRange
-		}
-		if idxCost < bestCost {
-			bestCost = idxCost
-			cp = &cachedPlan{path: path, primary: int8(best1), secondary: int8(best2)}
-		}
-	}
-	if len(bmAttrs) >= 2 {
-		// Word-parallel AND over every block plus the emission of the
-		// expected intersection (independence estimate from exact
-		// per-value frequencies).
-		bmCost := float64(n)/64*float64(len(bmAttrs)) + 1.5*float64(n)*bmSel
-		if bmCost < bestCost {
-			exact := bound == len(bmAttrs)
-			cp = &cachedPlan{path: pathBitmap, primary: -1, secondary: -1,
-				bitmapAttrs: bmAttrs, bitmapSkip: bmSkip, exact: exact}
-		}
-	}
-	return cp
-}
-
-// execSelect runs a structural plan against the query's actual values. The
-// posting/gallop/range family rebuilds its value-specific plan (which
-// posting list, which range bounds, which of the two attributes is tighter)
-// per query, so a shape-cached decision stays correct for every query of
-// the shape.
-func (s *Store) execSelect(cp *cachedPlan, preds []dataspace.Pred, want int) []dataspace.Tuple {
-	switch cp.path {
+	pl := s.candidates(preds)
+	s.choose(&pl, preds, want)
+	s.paths[pl.path].Add(1)
+	switch pl.path {
 	case pathScan:
-		s.pc.note(pathScan)
 		return s.selectScan(preds, want)
 	case pathBitmap:
-		s.pc.note(pathBitmap)
-		return s.selectBitmap(cp, preds, want)
+		return s.selectBitmap(preds, &pl, want)
+	case pathGallop:
+		return s.selectGallop(preds, &pl, want)
+	case pathPosting:
+		return s.selectPosting(preds, &pl, want)
 	default:
-		pl := s.buildPlan(cp, preds)
-		if s.isCat[pl.primary] {
-			if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), s.n) {
-				s.pc.note(pathGallop)
-				return s.selectGallop(preds, pl, want)
-			}
-			s.pc.note(pathPosting)
-			return s.selectPosting(preds, pl, want)
-		}
-		s.pc.note(pathRange)
-		return s.selectRange(preds, pl, want)
+		return s.selectRange(preds, &pl, want)
 	}
-}
-
-// buildPlan materializes the value-specific plan for the cached structural
-// decision: it fetches the posting lists / range bounds of the two chosen
-// attributes for this query's values and lets the tighter one drive (the
-// cached primary was tightest for the query that planned the shape, not
-// necessarily for this one).
-func (s *Store) buildPlan(cp *cachedPlan, preds []dataspace.Pred) plan {
-	a := int(cp.primary)
-	var mA, fromA, toA int
-	var listA []int32
-	if s.isCat[a] {
-		listA = s.post[a][preds[a].Value]
-		mA = len(listA)
-	} else {
-		fromA, toA = rangeBounds(s.sortedVal[a], preds[a].Lo, preds[a].Hi)
-		mA = toA - fromA
-	}
-	b := int(cp.secondary)
-	if b < 0 {
-		return plan{primary: a, m: mA, list: listA, from: fromA, to: toA, secondary: -1}
-	}
-	var mB, fromB, toB int
-	var listB []int32
-	if s.isCat[b] {
-		listB = s.post[b][preds[b].Value]
-		mB = len(listB)
-	} else {
-		fromB, toB = rangeBounds(s.sortedVal[b], preds[b].Lo, preds[b].Hi)
-		mB = toB - fromB
-	}
-	if mB < mA {
-		a, b = b, a
-		mA, fromA, toA, listA, mB, fromB, toB, listB = mB, fromB, toB, listB, mA, fromA, toA, listA
-	}
-	pl := plan{primary: a, m: mA, list: listA, from: fromA, to: toA, secondary: b}
-	if s.isCat[b] {
-		pl.secList = listB
-	} else {
-		pl.secFrom, pl.secTo = int32(fromB), int32(toB)
-	}
-	return pl
 }
 
 // scanChunk is the rank-block width of the chunked scan: 8 ranks per mask
@@ -721,28 +689,27 @@ const scanChunk = 8
 // emitted — in rank order, since bit i of the mask is rank base+i.
 func (s *Store) selectScan(preds []dataspace.Pred, want int) []dataspace.Tuple {
 	n := s.n
-	out := make([]dataspace.Tuple, 0, min(want, n))
+	bufp := s.getScratch(min(want, n))
+	ranks := (*bufp)[:0]
 	base := 0
+chunks:
 	for ; base+scanChunk <= n; base += scanChunk {
 		mask := s.chunkMask(preds, base)
 		for mask != 0 {
 			b := bits.TrailingZeros32(mask)
 			mask &= mask - 1
-			out = append(out, s.tupleAt(int32(base+b)))
-			if len(out) == want {
-				return out
+			ranks = append(ranks, int32(base+b))
+			if len(ranks) == want {
+				break chunks
 			}
 		}
 	}
-	for r := base; r < n; r++ {
+	for r := base; r < n && len(ranks) < want; r++ {
 		if s.coversAt(preds, int32(r)) {
-			out = append(out, s.tupleAt(int32(r)))
-			if len(out) == want {
-				break
-			}
+			ranks = append(ranks, int32(r))
 		}
 	}
-	return out
+	return s.emit(bufp, ranks)
 }
 
 // chunkMask evaluates every bound predicate over the scanChunk ranks at
@@ -783,54 +750,56 @@ func (s *Store) chunkMask(preds []dataspace.Pred, base int) uint32 {
 	return mask
 }
 
-// selectBitmap intersects the rank bitmaps of the plan's equality
-// predicates into a pooled rank buffer (ascending — already priority
-// order) and applies the residual predicates, if any, per surviving rank.
-// A plan whose bitmaps cover every bound predicate (cp.exact) needs no
-// residual pass and lets the intersection stop at want ranks.
-func (s *Store) selectBitmap(cp *cachedPlan, preds []dataspace.Pred, want int) []dataspace.Tuple {
-	var bmArr [shapeMaxDims]*rankBitmap
-	bms := bmArr[:0]
-	for _, a := range cp.bitmapAttrs {
-		bm := s.bitmaps[a].get(preds[a].Value)
-		if bm == nil {
-			// The value occurs nowhere: the intersection is empty.
-			return []dataspace.Tuple{}
-		}
-		bms = append(bms, bm)
+// planBitmaps appends the rank bitmaps of the attributes in mask to dst,
+// sparsest first so it drives the block walk. Posting lists and bitmaps
+// are built from the same data, so a value with a posting list has a
+// bitmap; callers rule out empty candidate sets first.
+func (s *Store) planBitmaps(preds []dataspace.Pred, mask uint64, dst []*rankBitmap) []*rankBitmap {
+	for ; mask != 0; mask &= mask - 1 {
+		a := bits.TrailingZeros64(mask)
+		dst = append(dst, s.bitmaps[a].get(preds[a].Value))
 	}
-	// Let the sparsest bitmap drive the block walk.
-	for i := 1; i < len(bms); i++ {
-		for j := i; j > 0 && bms[j].card < bms[j-1].card; j-- {
-			bms[j], bms[j-1] = bms[j-1], bms[j]
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].card < dst[j-1].card; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
 	}
-	maxRanks := -1
-	if cp.exact {
-		maxRanks = want
-	}
+	return dst
+}
+
+// bitmapRanks intersects the bitmaps of the attributes in mask into a
+// pooled rank buffer, ascending (already priority order); max >= 0 stops
+// the intersection at max ranks. The caller recycles the buffer.
+func (s *Store) bitmapRanks(preds []dataspace.Pred, mask uint64, max int) (*[]int32, []int32) {
+	var bmArr [maxBitmapAttrs]*rankBitmap
+	bms := s.planBitmaps(preds, mask, bmArr[:0])
 	wordsp := s.words.Get().(*[]uint64)
 	bufp := s.getScratch(1 << 10)
-	ranks := intersectInto(bms, *wordsp, (*bufp)[:0], maxRanks)
-	out := make([]dataspace.Tuple, 0, min(want, len(ranks)))
-	if cp.exact {
-		for _, r := range ranks {
-			out = append(out, s.tupleAt(r))
-		}
-	} else {
-		for _, r := range ranks {
-			if s.coversAtSkip(preds, r, cp.bitmapSkip) {
-				out = append(out, s.tupleAt(r))
-				if len(out) == want {
-					break
-				}
+	ranks := intersectInto(bms, *wordsp, (*bufp)[:0], max)
+	s.words.Put(wordsp)
+	return bufp, ranks
+}
+
+// selectBitmap intersects the rank bitmaps of the plan's equality
+// predicates and applies the residual predicates, if any, per surviving
+// rank. A plan whose bitmaps cover every bound predicate needs no residual
+// pass and lets the intersection stop at want ranks.
+func (s *Store) selectBitmap(preds []dataspace.Pred, pl *plan, want int) []dataspace.Tuple {
+	if bits.OnesCount64(pl.bitmaps) == pl.bound {
+		bufp, ranks := s.bitmapRanks(preds, pl.bitmaps, want)
+		return s.emit(bufp, ranks)
+	}
+	bufp, ranks := s.bitmapRanks(preds, pl.bitmaps, -1)
+	k := 0
+	for _, r := range ranks {
+		if s.coversAtSkip(preds, r, pl.bitmaps) {
+			ranks[k] = r
+			if k++; k == want {
+				break
 			}
 		}
 	}
-	*bufp = ranks[:0]
-	s.scratch.Put(bufp)
-	s.words.Put(wordsp)
-	return out
+	return s.emit(bufp, ranks[:k])
 }
 
 // useGallop decides how a posting ∩ posting intersection tests membership
@@ -845,9 +814,9 @@ func (s *Store) selectBitmap(cp *cachedPlan, preds []dataspace.Pred, want int) [
 // stays small enough to remain resident.
 //
 // The intersection filter is intentionally open-coded in selectPosting,
-// selectGallop and Count's categorical branch rather than shared through a
-// per-rank callback: the loops capture their accumulators (the result
-// slice / the counter), so a closure-based iterator would escape them to
+// selectGallop and Count's categorical branches rather than shared through
+// a per-rank callback: the loops capture their accumulators (the rank
+// buffer / the counter), so a closure-based iterator would escape them to
 // the heap and break the one-allocation Select contract the benchmarks
 // pin. TestGallopPathsMatchColumnProbe keeps the copies equivalent.
 func useGallop(m2, n int) bool {
@@ -864,8 +833,13 @@ var colCacheTuples = 4 << 20
 // rejecting candidates with the cheapest test for the secondary predicate —
 // a rank→sorted-position window check (numeric) or a single column load
 // (categorical) — before the full predicate check.
-func (s *Store) selectPosting(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
-	out := make([]dataspace.Tuple, 0, min(want, len(pl.list)))
+func (s *Store) selectPosting(preds []dataspace.Pred, pl *plan, want int) []dataspace.Tuple {
+	if pl.bound == 1 {
+		// The posting list is the answer.
+		return s.tuples(pl.list[:min(want, len(pl.list))])
+	}
+	bufp := s.getScratch(min(want, len(pl.list)))
+	ranks := (*bufp)[:0]
 	var pos []int32
 	var col []int64
 	var secVal int64
@@ -886,21 +860,22 @@ func (s *Store) selectPosting(preds []dataspace.Pred, pl plan, want int) []datas
 			continue
 		}
 		if s.coversAt(preds, r) {
-			out = append(out, s.tupleAt(r))
-			if len(out) == want {
+			ranks = append(ranks, r)
+			if len(ranks) == want {
 				break
 			}
 		}
 	}
-	return out
+	return s.emit(bufp, ranks)
 }
 
 // selectGallop intersects the two posting lists with a galloping merge:
 // the shorter list (the primary) drives, and the cursor into the longer
 // one advances by exponential search, skipping runs of non-matching ranks.
-func (s *Store) selectGallop(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+func (s *Store) selectGallop(preds []dataspace.Pred, pl *plan, want int) []dataspace.Tuple {
 	a, b := pl.list, pl.secList
-	out := make([]dataspace.Tuple, 0, min(want, len(a)))
+	bufp := s.getScratch(min(want, len(a)))
+	ranks := (*bufp)[:0]
 	j := 0
 	for _, r := range a {
 		j = gallop(b, j, r)
@@ -911,13 +886,13 @@ func (s *Store) selectGallop(preds []dataspace.Pred, pl plan, want int) []datasp
 			continue
 		}
 		if s.coversAt(preds, r) {
-			out = append(out, s.tupleAt(r))
-			if len(out) == want {
+			ranks = append(ranks, r)
+			if len(ranks) == want {
 				break
 			}
 		}
 	}
-	return out
+	return s.emit(bufp, ranks)
 }
 
 // gallop returns the smallest index >= lo with b[idx] >= target, probing
@@ -949,10 +924,11 @@ func gallop(b []int32, lo int, target int32) int {
 	return hi
 }
 
-// selectRange enumerates the primary sorted-column segment, filters by the
-// secondary predicate while the ranks are still in value order, then
-// restores rank order with one allocation-free sort of a pooled buffer.
-func (s *Store) selectRange(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+// selectRange enumerates the primary sorted-column segment into a pooled
+// rank buffer, filters by the secondary predicate while the ranks are
+// still in value order, restores rank order with one allocation-free sort,
+// and keeps the first want ranks passing the full predicate check.
+func (s *Store) selectRange(preds []dataspace.Pred, pl *plan, want int) []dataspace.Tuple {
 	seg := s.sortedRank[pl.primary][pl.from:pl.to]
 	bufp := s.getScratch(len(seg))
 	ranks := (*bufp)[:0]
@@ -976,18 +952,16 @@ func (s *Store) selectRange(preds []dataspace.Pred, pl plan, want int) []dataspa
 		}
 	}
 	slices.Sort(ranks)
-	out := make([]dataspace.Tuple, 0, min(want, len(ranks)))
+	k := 0
 	for _, r := range ranks {
 		if s.coversAt(preds, r) {
-			out = append(out, s.tupleAt(r))
-			if len(out) == want {
+			ranks[k] = r
+			if k++; k == want {
 				break
 			}
 		}
 	}
-	*bufp = ranks[:0]
-	s.scratch.Put(bufp)
-	return out
+	return s.emit(bufp, ranks[:k])
 }
 
 // SelectBatch answers every query of the batch with the same semantics as
@@ -1008,91 +982,59 @@ func (s *Store) SelectBatch(ctx context.Context, qs []dataspace.Query, limit int
 	return out
 }
 
-// countBitmap answers a Count whose bound predicates are all bitmap-indexed
-// equalities with a popcount of the bitmap intersection — no candidate is
-// ever enumerated. ok=false means the query does not qualify and the caller
-// falls back to the exact-cost planner.
-func (s *Store) countBitmap(preds []dataspace.Pred) (int, bool) {
-	if len(preds) > shapeMaxDims {
-		return 0, false
-	}
-	var bmArr [shapeMaxDims]*rankBitmap
-	bms := bmArr[:0]
-	for i := range preds {
-		p := &preds[i]
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			if s.bitmaps[i] == nil {
-				return 0, false
-			}
-			bm := s.bitmaps[i].get(p.Value)
-			if bm == nil {
-				// The value occurs nowhere, so the conjunction is empty
-				// no matter what the other predicates say.
-				return 0, true
-			}
-			bms = append(bms, bm)
-		} else if p.Lo != dataspace.NegInf || p.Hi != dataspace.PosInf {
-			return 0, false
-		}
-	}
-	if len(bms) < 2 {
-		return 0, false
-	}
-	for i := 1; i < len(bms); i++ {
-		for j := i; j > 0 && bms[j].card < bms[j-1].card; j-- {
-			bms[j], bms[j-1] = bms[j-1], bms[j]
-		}
-	}
-	wordsp := s.words.Get().(*[]uint64)
-	c := intersectCount(bms, *wordsp)
-	s.words.Put(wordsp)
-	return c, true
-}
-
-// Count returns the exact number of tuples matching q. Unlike Select it
-// cannot early-exit, so the planner prefers any index path over the scan;
-// result order is irrelevant, so no sorting or allocation happens on any
-// path.
+// Count returns the exact number of tuples matching q. It shares Select's
+// candidate step but prices the scan at n, since counting cannot
+// early-exit; result order is irrelevant, so no sorting or allocation
+// happens on any path.
 func (s *Store) Count(q dataspace.Query) int {
 	n := s.n
 	preds := q.Preds()
-	if c, ok := s.countBitmap(preds); ok {
+	pl := s.candidates(preds)
+	if pl.bound <= 1 || pl.m == 0 {
+		// Nothing bound, a single bound predicate, or an empty candidate
+		// set: the candidate count is exact.
+		return pl.m
+	}
+	if bits.OnesCount64(pl.bitmaps) == pl.bound {
+		// Every bound predicate is a bitmap-indexed equality: popcount the
+		// intersection without enumerating a single candidate.
+		var bmArr [maxBitmapAttrs]*rankBitmap
+		bms := s.planBitmaps(preds, pl.bitmaps, bmArr[:0])
+		wordsp := s.words.Get().(*[]uint64)
+		c := intersectCount(bms, *wordsp)
+		s.words.Put(wordsp)
 		return c
 	}
-	pl := s.choosePlan(preds, n)
-	switch {
-	case pl.bound == 0:
-		return n
-	case pl.primary < 0:
-		c := 0
+	s.choose(&pl, preds, 0)
+	c := 0
+	switch pl.path {
+	case pathScan:
 		for r := 0; r < n; r++ {
 			if s.coversAt(preds, int32(r)) {
 				c++
 			}
 		}
-		return c
-	case pl.bound == 1:
-		// A single bound predicate: the path's candidate count is exact.
-		return pl.m
-	case s.isCat[pl.primary]:
-		c := 0
-		if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), n) {
-			b := pl.secList
-			j := 0
-			for _, r := range pl.list {
-				j = gallop(b, j, r)
-				if j == len(b) {
-					break
-				}
-				if b[j] == r && s.coversAt(preds, r) {
-					c++
-				}
+	case pathBitmap:
+		bufp, ranks := s.bitmapRanks(preds, pl.bitmaps, -1)
+		for _, r := range ranks {
+			if s.coversAtSkip(preds, r, pl.bitmaps) {
+				c++
 			}
-			return c
 		}
+		s.putScratch(bufp, ranks)
+	case pathGallop:
+		b := pl.secList
+		j := 0
+		for _, r := range pl.list {
+			j = gallop(b, j, r)
+			if j == len(b) {
+				break
+			}
+			if b[j] == r && s.coversAt(preds, r) {
+				c++
+			}
+		}
+	case pathPosting:
 		var pos []int32
 		var col []int64
 		var secVal int64
@@ -1116,14 +1058,12 @@ func (s *Store) Count(q dataspace.Query) int {
 				c++
 			}
 		}
-		return c
 	default:
-		c := 0
 		for _, r := range s.sortedRank[pl.primary][pl.from:pl.to] {
 			if s.coversAt(preds, r) {
 				c++
 			}
 		}
-		return c
 	}
+	return c
 }

@@ -41,14 +41,14 @@ func needleQuery(s *Store) dataspace.Query {
 		WithValue(2, datagen.PathoNeedle)
 }
 
-// BenchmarkSelect3WayIntersect1M measures planner v2 on the needle
+// BenchmarkSelect3WayIntersect1M measures the planner on the needle
 // conjunction — the cost model routes it to the word-parallel bitmap AND.
-// Compare against BenchmarkSelect3WayIntersect1MV1, the v1 plan on the
-// identical query (the acceptance-criteria speedup pair).
+// Compare against BenchmarkSelect3WayIntersect1MV1, the tightest posting
+// list's plan on the identical query (the bitmap path's speedup pair).
 func BenchmarkSelect3WayIntersect1M(b *testing.B) {
 	s := patho1MStore(b)
 	q := needleQuery(s)
-	s.Select(q, 64) // warm the plan cache and scratch pools
+	s.Select(q, 64) // warm the scratch pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,24 +58,24 @@ func BenchmarkSelect3WayIntersect1M(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect3WayIntersect1MV1 runs the identical needle query through
-// the v1 planner: choosePlan picks the tightest posting list (~31k ranks)
-// and walks it with per-candidate column probes, blind to the intersection
-// being three orders of magnitude smaller.
+// BenchmarkSelect3WayIntersect1MV1 runs the identical needle query on the
+// candidate step's tightest posting list (~170k ranks), walked with
+// per-candidate column probes — the plan a cost model blind to the
+// intersection being three orders of magnitude smaller would pick.
 func BenchmarkSelect3WayIntersect1MV1(b *testing.B) {
 	s := patho1MStore(b)
 	q := needleQuery(s)
 	preds := q.Preds()
-	pl := s.choosePlan(preds, s.Size()/4)
+	pl := s.candidates(preds)
 	if pl.primary < 0 || !s.isCat[pl.primary] {
 		b.Fatal("expected a posting-list plan")
 	}
-	s.Select(q, 64) // same warmup as the v2 side
+	s.Select(q, 64) // same warmup as the planned side
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := v1Select(s, preds, pl, 65); len(got) != 65 {
-			b.Fatalf("v1 needle select returned %d tuples", len(got))
+		if got := indexSelect(s, preds, &pl, 65); len(got) != 65 {
+			b.Fatalf("posting-walk needle select returned %d tuples", len(got))
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package index
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"maps"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"hidb/internal/datagen"
@@ -61,42 +64,31 @@ func sameTuples(a, b []dataspace.Tuple) bool {
 	return true
 }
 
-// forceBitmapPlan builds the bitmap plan for the query's predicates the way
-// planPath would, regardless of cost. ok=false when fewer than two bound
-// equality predicates carry bitmap indexes.
-func forceBitmapPlan(s *Store, preds []dataspace.Pred) (*cachedPlan, bool) {
-	var attrs []int8
-	var skip uint64
-	bound := 0
-	for i := range preds {
-		p := &preds[i]
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			bound++
-			if s.bitmaps[i] != nil {
-				attrs = append(attrs, int8(i))
-				skip |= 1 << uint(i)
-			}
-		} else if p.Lo != dataspace.NegInf || p.Hi != dataspace.PosInf {
-			bound++
-		}
-	}
-	if len(attrs) < 2 {
-		return nil, false
-	}
-	return &cachedPlan{
-		path: pathBitmap, primary: -1, secondary: -1,
-		bitmapAttrs: attrs, bitmapSkip: skip, exact: bound == len(attrs),
-	}, true
+// sameExact is sameTuples plus the exact-size contract: a Select result
+// carries no spare capacity, so answer memos that keep it alive for a whole
+// crawl hold only the returned tuples.
+func sameExact(got, want []dataspace.Tuple) bool {
+	return sameTuples(got, want) && len(got) == cap(got)
 }
 
-// v1Select dispatches the v1 planner's plan the way the old Select did —
-// the reference implementation the bitmap and chunked-scan paths must match.
-func v1Select(s *Store, preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+// forceBitmapPlan takes the candidate step's plan onto the bitmap path,
+// regardless of cost. ok=false when fewer than two bound equality
+// predicates carry bitmap indexes.
+func forceBitmapPlan(s *Store, preds []dataspace.Pred) (plan, bool) {
+	pl := s.candidates(preds)
+	if bits.OnesCount64(pl.bitmaps) < 2 || pl.m == 0 {
+		return pl, false
+	}
+	pl.path = pathBitmap
+	return pl, true
+}
+
+// indexSelect runs the candidate step's tightest-predicate plan on its
+// index path, regardless of cost — the reference the bitmap and
+// chunked-scan paths must match.
+func indexSelect(s *Store, preds []dataspace.Pred, pl *plan, want int) []dataspace.Tuple {
 	if s.isCat[pl.primary] {
-		if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), len(s.byRank)) {
+		if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), s.Size()) {
 			return s.selectGallop(preds, pl, want)
 		}
 		return s.selectPosting(preds, pl, want)
@@ -104,10 +96,11 @@ func v1Select(s *Store, preds []dataspace.Pred, pl plan, want int) []dataspace.T
 	return s.selectRange(preds, pl, want)
 }
 
-// TestAccessPathsAgreeAcrossPatterns is the planner-v2 oracle: on every
+// TestAccessPathsAgreeAcrossPatterns is the planner oracle: on every
 // generator pattern, for random queries of every arity, the chunked scan,
 // the posting/gallop/range family, and the bitmap path must all return
-// exactly the naive reference answer — same tuples, same order.
+// exactly the naive reference answer — same tuples, same order, in a slice
+// of exactly that size.
 func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 	for _, p := range datagen.Patterns {
 		p := p
@@ -122,21 +115,21 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 				for _, limit := range []int{0, 9, 64} {
 					want := limit + 1
 					expect := naive(s, q, want)
-					if got := s.Select(q, limit); !sameTuples(got, expect) {
+					if got := s.Select(q, limit); !sameExact(got, expect) {
 						t.Fatalf("trial %d limit %d: Select diverges from naive on %s", trial, limit, q)
 					}
-					if got := s.selectScan(preds, want); !sameTuples(got, expect) {
+					if got := s.selectScan(preds, want); !sameExact(got, expect) {
 						t.Fatalf("trial %d limit %d: chunked scan diverges from naive on %s", trial, limit, q)
 					}
-					if pl := s.choosePlan(preds, n); pl.primary >= 0 {
-						if got := v1Select(s, preds, pl, want); !sameTuples(got, expect) {
-							t.Fatalf("trial %d limit %d: v1 %v path diverges from naive on %s",
+					if pl := s.candidates(preds); pl.primary >= 0 {
+						if got := indexSelect(s, preds, &pl, want); !sameExact(got, expect) {
+							t.Fatalf("trial %d limit %d: index path on attribute %d diverges from naive on %s",
 								trial, limit, pl.primary, q)
 						}
 					}
-					if cp, ok := forceBitmapPlan(s, preds); ok {
+					if pl, ok := forceBitmapPlan(s, preds); ok {
 						bitmapQueries++
-						if got := s.selectBitmap(cp, preds, want); !sameTuples(got, expect) {
+						if got := s.selectBitmap(preds, &pl, want); !sameExact(got, expect) {
 							t.Fatalf("trial %d limit %d: bitmap path diverges from naive on %s", trial, limit, q)
 						}
 					}
@@ -150,7 +143,7 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 }
 
 // TestAccessPathsAgreeUnderGallop re-runs the oracle with the column-cache
-// threshold lowered so the v2 executor routes posting ∩ posting through the
+// threshold lowered so the planner routes posting ∩ posting through the
 // galloping merge, which test-sized stores never trigger by default.
 func TestAccessPathsAgreeUnderGallop(t *testing.T) {
 	defer func(v int) { colCacheTuples = v }(colCacheTuples)
@@ -160,7 +153,7 @@ func TestAccessPathsAgreeUnderGallop(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		q := tierQuery(s.Schema(), rng, s.Size())
 		got := s.Select(q, 64)
-		if !sameTuples(got, naive(s, q, 65)) {
+		if !sameExact(got, naive(s, q, 65)) {
 			t.Fatalf("trial %d: Select diverges from naive with gallop forced on %s", trial, q)
 		}
 	}
@@ -190,153 +183,92 @@ func TestCountMatchesNaiveAcrossPatterns(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCounters pins the cache's observable arithmetic: one miss
-// per new shape, hits for every repeat, per-path counts summing to the
-// Select count.
-func TestPlanCacheCounters(t *testing.T) {
+// TestNarrowQueriesAvoidScan pins the failure a per-shape plan cache
+// produced: a crawl opens with the broad root query, for which the
+// early-exiting scan is right, and then splits it into ever narrower
+// rectangles of the same shape. Each narrow query must be planned from its
+// own candidate counts, so none of the resolved (non-overflowing) leaves
+// may scan the store.
+func TestNarrowQueriesAvoidScan(t *testing.T) {
 	s := tierStore(t, datagen.PatternRandom, 19)
-	rng := simrand.New(20)
 	sch := s.Schema()
-	const repeats = 50
-	// One shape: C1 = v, varying v.
-	for i := 0; i < repeats; i++ {
-		s.Select(dataspace.UniverseQuery(sch).WithValue(0, rng.IntRange(1, 32)), 64)
-	}
-	ps := s.PlanStats()
-	if ps.Shapes != 1 || ps.Misses != 1 || ps.Hits != repeats-1 {
-		t.Fatalf("after %d same-shape selects: shapes=%d hits=%d misses=%d, want 1/%d/1",
-			repeats, ps.Shapes, ps.Hits, ps.Misses, repeats-1)
-	}
-	// A second shape: C1 = v ∧ C2 = w.
-	s.Select(dataspace.UniverseQuery(sch).WithValue(0, 1).WithValue(1, 2), 64)
-	ps = s.PlanStats()
-	if ps.Shapes != 2 || ps.Misses != 2 {
-		t.Fatalf("after a second shape: shapes=%d misses=%d, want 2/2", ps.Shapes, ps.Misses)
-	}
-	var pathTotal int64
-	for _, v := range ps.Paths {
-		pathTotal += v
-	}
-	if pathTotal != repeats+1 {
-		t.Fatalf("path counts sum to %d, want %d", pathTotal, repeats+1)
-	}
-	if hr := ps.HitRate(); hr <= 0.9 {
-		t.Fatalf("hit rate %.3f, want > 0.9", hr)
-	}
-	if (PlanStats{}).HitRate() != 0 {
-		t.Fatal("empty PlanStats should have hit rate 0")
-	}
-}
-
-// TestPlanCacheCap verifies the cache stops growing at planCacheCap and
-// keeps answering correctly (over-cap shapes just re-plan).
-func TestPlanCacheCap(t *testing.T) {
-	defer func(v int) { planCacheCap = v }(planCacheCap)
-	planCacheCap = 2
-	s := tierStore(t, datagen.PatternRandom, 29)
-	sch := s.Schema()
-	queries := []dataspace.Query{
-		dataspace.UniverseQuery(sch).WithValue(0, 3),
-		dataspace.UniverseQuery(sch).WithValue(1, 4),
-		dataspace.UniverseQuery(sch).WithValue(2, 5),
-		dataspace.UniverseQuery(sch).WithValue(3, 6),
-	}
-	for _, q := range queries {
-		for i := 0; i < 3; i++ {
-			if !sameTuples(s.Select(q, 64), naive(s, q, 65)) {
-				t.Fatalf("over-cap query diverges from naive: %s", q)
+	const limit = 64
+	scans := func() int64 { return s.PlanStats().Paths["scan"] }
+	var split func(lo, hi int64)
+	leaves := 0
+	split = func(lo, hi int64) {
+		before := scans()
+		got := s.Select(dataspace.UniverseQuery(sch).WithRange(5, lo, hi), limit)
+		if len(got) <= limit {
+			leaves++
+			if scans() != before {
+				t.Fatalf("narrow query N2 in [%d,%d] (%d tuples) scanned the store", lo, hi, len(got))
 			}
+			return
 		}
+		mid := lo + (hi-lo)/2
+		split(lo, mid)
+		split(mid+1, hi)
 	}
-	if ps := s.PlanStats(); ps.Shapes != 2 {
-		t.Fatalf("capped cache holds %d shapes, want 2", ps.Shapes)
+	split(0, 1<<20)
+	if ps := s.PlanStats(); ps.Paths["scan"] == 0 || leaves < 100 {
+		t.Fatalf("root query should scan and the crawl reach >= 100 leaves: paths %v, %d leaves", ps.Paths, leaves)
 	}
 }
 
-// TestPlanCacheConcurrent hammers one store from many goroutines with a
-// mixed shape workload. Run under -race this is the lock-freedom proof for
-// the copy-on-write cache; the result check keeps it honest.
-func TestPlanCacheConcurrent(t *testing.T) {
-	s := tierStore(t, datagen.PatternRealistic, 31)
-	const workers, perWorker = 8, 100
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := simrand.New(uint64(w) + 41)
-			for i := 0; i < perWorker; i++ {
-				q := tierQuery(s.Schema(), rng, s.Size())
-				if !sameTuples(s.Select(q, 64), naive(s, q, 65)) {
-					errs <- fmt.Errorf("worker %d: Select diverges from naive on %s", w, q)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+// TestPlanDeterminism runs one query multiset in two orders and through
+// the concurrent Sharded.SelectBatch: the per-path execution counts must
+// agree exactly, because a plan depends on its query's values and never on
+// which queries came before. Under -race the batch doubles as the
+// concurrent-reader check of the planner counters and scratch pools.
+func TestPlanDeterminism(t *testing.T) {
+	d := datagen.Tiered(datagen.PatternRealistic, datagen.Tier10K, 31)
+	single, err := New(d.Schema, d.Tuples)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ps := s.PlanStats()
-	if ps.Hits+ps.Misses != workers*perWorker {
-		t.Fatalf("hits+misses = %d, want %d", ps.Hits+ps.Misses, workers*perWorker)
+	rng := simrand.New(41)
+	qs := make([]dataspace.Query, 400)
+	for i := range qs {
+		qs[i] = tierQuery(d.Schema, rng, len(d.Tuples))
 	}
-}
-
-// TestShapeKey pins the shape-key packing: values never matter, predicate
-// kinds always do, and schemas beyond 32 attributes opt out.
-func TestShapeKey(t *testing.T) {
-	isCat := []bool{true, true, false, false}
-	u := func() []dataspace.Pred {
-		return []dataspace.Pred{
-			{Wild: true}, {Wild: true},
-			{Lo: dataspace.NegInf, Hi: dataspace.PosInf},
-			{Lo: dataspace.NegInf, Hi: dataspace.PosInf},
+	run := func(qs []dataspace.Query, batch bool) PlanStats {
+		sh, err := NewSharded(d.Schema, d.Tuples, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !batch {
+			for _, q := range qs {
+				sh.Select(q, 64)
+			}
+			return sh.PlanStats()
+		}
+		got := sh.SelectBatch(context.Background(), qs, 64)
+		for i, q := range qs {
+			if !sameTuples(got[i], naive(single, q, 65)) {
+				t.Fatalf("SelectBatch result %d diverges from naive on %s", i, q)
+			}
+		}
+		return sh.PlanStats()
 	}
-	base, ok := shapeKey(isCat, u())
-	if !ok {
-		t.Fatal("4-dim shape key should pack")
+	reversed := slices.Clone(qs)
+	slices.Reverse(reversed)
+	forward, reverse, batched := run(qs, false), run(reversed, false), run(qs, true)
+	if !maps.Equal(forward.Paths, reverse.Paths) || !maps.Equal(forward.Paths, batched.Paths) {
+		t.Fatalf("path counts depend on arrival order: forward %v, reverse %v, batch %v",
+			forward.Paths, reverse.Paths, batched.Paths)
 	}
-	// Same shape, different values → same key.
-	a := u()
-	a[0] = dataspace.Pred{Value: 3}
-	a[2] = dataspace.Pred{Lo: 5, Hi: 10}
-	b := u()
-	b[0] = dataspace.Pred{Value: 9}
-	b[2] = dataspace.Pred{Lo: -50, Hi: 4000}
-	ka, _ := shapeKey(isCat, a)
-	kb, _ := shapeKey(isCat, b)
-	if ka != kb {
-		t.Fatalf("same shape hashed differently: %x vs %x", ka, kb)
-	}
-	if ka == base {
-		t.Fatal("bound shape collides with the universe shape")
-	}
-	// Point range vs proper range vs unbounded are distinct shapes.
-	c := u()
-	c[2] = dataspace.Pred{Lo: 7, Hi: 7}
-	kc, _ := shapeKey(isCat, c)
-	d := u()
-	d[2] = dataspace.Pred{Lo: 7, Hi: 8}
-	kd, _ := shapeKey(isCat, d)
-	if kc == kd || kc == base || kd == base {
-		t.Fatalf("numeric shapes collide: point=%x range=%x free=%x", kc, kd, base)
-	}
-	// 33 attributes cannot pack.
-	wide := make([]dataspace.Pred, 33)
-	if _, ok := shapeKey(make([]bool, 33), wide); ok {
-		t.Fatal("33-dim shape key should not pack")
+	if len(forward.Paths) < 3 {
+		t.Fatalf("query mix exercised only %v; generator too narrow", forward.Paths)
 	}
 }
 
-// TestWideSchemaUncached verifies a store wider than the shape key still
-// answers correctly, planning every query (all misses, no cached shapes).
-func TestWideSchemaUncached(t *testing.T) {
-	attrs := make([]dataspace.Attribute, 33)
+// TestWideSchemaBitmapMask covers schemas wider than the 64-attribute
+// bitmap mask: equality predicates beyond attribute 63 never join a bitmap
+// plan, and stay enforced as residual checks when one runs.
+func TestWideSchemaBitmapMask(t *testing.T) {
+	const d = 70
+	attrs := make([]dataspace.Attribute, d)
 	for i := range attrs {
 		attrs[i] = dataspace.Attribute{
 			Name: fmt.Sprintf("C%d", i+1), Kind: dataspace.Categorical, DomainSize: 4,
@@ -344,9 +276,9 @@ func TestWideSchemaUncached(t *testing.T) {
 	}
 	sch := dataspace.MustSchema(attrs)
 	rng := simrand.New(43)
-	tuples := make([]dataspace.Tuple, 500)
+	tuples := make([]dataspace.Tuple, bitmapMinTuples)
 	for i := range tuples {
-		tu := make(dataspace.Tuple, 33)
+		tu := make(dataspace.Tuple, d)
 		for j := range tu {
 			tu[j] = rng.IntRange(1, 4)
 		}
@@ -356,27 +288,25 @@ func TestWideSchemaUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		q := dataspace.UniverseQuery(sch)
-		for j := 0; j < 33; j++ {
-			if rng.Bool(0.2) {
-				q = q.WithValue(j, rng.IntRange(1, 4))
-			}
+		for _, j := range []int{rng.Intn(64), rng.Intn(64), rng.Intn(64), rng.Intn(64), 64 + rng.Intn(d-64), 64 + rng.Intn(d-64)} {
+			q = q.WithValue(j, rng.IntRange(1, 4))
 		}
-		if !sameTuples(s.Select(q, 10), naive(s, q, 11)) {
+		if !sameExact(s.Select(q, 10), naive(s, q, 11)) {
 			t.Fatalf("trial %d: wide-schema Select diverges from naive", trial)
 		}
+		if got, want := s.Count(q), len(naive(s, q, len(tuples))); got != want {
+			t.Fatalf("trial %d: wide-schema Count = %d, want %d", trial, got, want)
+		}
 	}
-	ps := s.PlanStats()
-	if ps.Shapes != 0 || ps.Hits != 0 || ps.Misses != 30 {
-		t.Fatalf("wide schema: shapes=%d hits=%d misses=%d, want 0/0/30",
-			ps.Shapes, ps.Hits, ps.Misses)
+	if s.PlanStats().Paths["bitmap"] == 0 {
+		t.Fatal("no wide-schema query ran the bitmap path")
 	}
 }
 
 // TestShardedSharesStatsKeepsPlans pins the Sharded contract: one shared
-// selectivity sample, independent per-shard plan caches, aggregated
-// PlanStats.
+// selectivity sample, per-shard planning, aggregated PlanStats.
 func TestShardedSharesStatsKeepsPlans(t *testing.T) {
 	d := datagen.Tiered(datagen.PatternRandom, datagen.Tier10K, 47)
 	sh, err := NewSharded(d.Schema, d.Tuples, 4)
@@ -402,8 +332,8 @@ func TestShardedSharesStatsKeepsPlans(t *testing.T) {
 		}
 	}
 	ps := sh.PlanStats()
-	if ps.Hits+ps.Misses == 0 {
-		t.Fatal("sharded PlanStats should aggregate shard counters")
+	if ps.Misses < 40 {
+		t.Fatalf("sharded PlanStats should aggregate shard counters, got %+v", ps)
 	}
 }
 
@@ -435,6 +365,27 @@ func TestSelStats(t *testing.T) {
 	if es := st.EqSel(4); es != 0 {
 		t.Fatalf("EqSel(numeric) = %v, want 0", es)
 	}
+	// A sample whose size is not a multiple of 64 (1000 rows): the
+	// estimate is the sampled match fraction, floored.
+	small, err := New(d.Schema, d.Tuples[:1000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := small.Stats().SampleRows()
+	rng := simrand.New(54)
+	for trial := 0; trial < 200; trial++ {
+		q := tierQuery(sch, rng, 1000)
+		matched := 0
+		for _, r := range rows {
+			if q.Covers(r) {
+				matched++
+			}
+		}
+		want := max(float64(matched), 0.5) / float64(len(rows))
+		if got := small.Stats().jointSel(q.Preds()); got != want {
+			t.Fatalf("trial %d: jointSel = %v, want %v on %s", trial, got, want, q)
+		}
+	}
 	// Empty store: selectivity defaults to 1, nothing divides by zero.
 	empty, err := New(d.Schema, nil)
 	if err != nil {
@@ -449,8 +400,8 @@ func TestSelStats(t *testing.T) {
 }
 
 // TestSelectAllocsSteadyState pins the one-allocation Select contract on
-// every access path: once the plan is cached and the scratch pools are
-// warm, a Select allocates exactly its result slice.
+// every access path: once the scratch pools are warm, a Select allocates
+// exactly its result slice.
 func TestSelectAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -472,7 +423,7 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		q := tc.q
-		s.Select(q, 64) // plan + pool warmup before measuring
+		s.Select(q, 64) // pool warmup before measuring
 		allocs := testing.AllocsPerRun(100, func() {
 			s.Select(q, 64)
 		})

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"hidb/internal/dataspace"
@@ -38,8 +39,8 @@ type Engine interface {
 	Schema() *dataspace.Schema
 	// All returns the tuples in priority order (shared storage, read-only).
 	All() []dataspace.Tuple
-	// PlanStats returns the planner's cumulative counters: cached shapes,
-	// plan-cache hits/misses, and per-access-path Select execution counts.
+	// PlanStats returns the planner's cumulative per-access-path Select
+	// execution counts.
 	PlanStats() PlanStats
 	// EngineStats returns the engine's kind ("mem", "disk") and, for
 	// engines that serve rows through a cache, its hit/miss counters.
@@ -95,9 +96,9 @@ func NewSharded(schema *dataspace.Schema, byRank []dataspace.Tuple, shards int) 
 	// One selectivity sample over the whole relation, shared by every
 	// shard: selectivity is a property of the data shape, not of any one
 	// priority band, and a full-relation sample is strictly better than
-	// per-shard ones. Plan caches stay per-shard — each shard's posting
+	// per-shard ones. Planning stays per-shard — each shard's posting
 	// lists have their own sizes, so shards may legitimately pick
-	// different paths for the same shape.
+	// different paths for the same query.
 	stats := buildSelStats(schema, byRank)
 	s := &Sharded{schema: schema, byRank: byRank, shards: make([]*Store, 0, shards)}
 	for i := 0; i < shards; i++ {
@@ -111,9 +112,8 @@ func NewSharded(schema *dataspace.Schema, byRank []dataspace.Tuple, shards int) 
 	return s, nil
 }
 
-// PlanStats aggregates the per-shard planner counters. Shapes counts
-// cached (shard, shape) pairs, so it can exceed the number of distinct
-// query shapes the store has seen.
+// PlanStats aggregates the per-shard planner counters: one execution per
+// shard a Select reached.
 func (s *Sharded) PlanStats() PlanStats {
 	var ps PlanStats
 	for _, sh := range s.shards {
@@ -152,8 +152,8 @@ func (s *Sharded) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 		got := sh.Select(q, want-len(out)-1)
 		if out == nil {
 			out = got // common case: the first shard already decides
-		} else {
-			out = append(out, got...)
+		} else if len(got) > 0 {
+			out = slices.Concat(out, got) // one allocation sized to fit, no append growth
 		}
 		if len(out) >= want {
 			break

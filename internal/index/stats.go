@@ -1,18 +1,19 @@
 // Sampled selectivity statistics.
 //
-// The v1 planner chose scan versus index with a hard-coded margin: any index
-// path touching at most n/4 candidates beat the scan. That constant encodes
-// an assumption about data shape that real datasets routinely violate — a
-// 90%-selective predicate makes a 250k-candidate posting walk far slower
-// than a scan that early-exits within a few thousand ranks, while a
-// pathological distribution that hides all matches at the bottom of the
-// rank space makes the same scan catastrophically slow.
+// Choosing scan versus index with a hard-coded margin (say, any index path
+// touching at most n/4 candidates beats the scan) encodes an assumption
+// about data shape that real datasets routinely violate — a 90%-selective
+// predicate makes a 250k-candidate posting walk far slower than a scan that
+// early-exits within a few thousand ranks, while a pathological
+// distribution that hides all matches at the bottom of the rank space makes
+// the same scan catastrophically slow.
 //
 // SelStats replaces the assumption with measurement: one stride sample of
 // the relation, taken at Store construction, kept column-major so the
 // planner can evaluate an actual query's full conjunction against it in a
 // few microseconds. The sampled joint selectivity — not a per-predicate
-// independence guess — drives the expected early-exit scan cost, and
+// independence guess — drives the expected early-exit scan cost whenever
+// the exact candidate counts alone cannot decide the plan, and
 // per-attribute equality selectivities (the sample's value-frequency second
 // moment) summarize how selective a typical point predicate on each
 // attribute is. A Sharded store builds one SelStats over the whole relation
@@ -21,6 +22,8 @@
 package index
 
 import (
+	"math/bits"
+
 	"hidb/internal/dataspace"
 )
 
@@ -142,29 +145,60 @@ func (st *SelStats) SampleRows() []dataspace.Tuple {
 // conjunction, by evaluating it over the sample. The estimate is smoothed
 // away from zero (half a row's worth) so the cost model never divides by
 // zero and never treats "no sampled match" as "no match at all".
+//
+// The evaluation is column-at-a-time over a survivor bitmask: each bound
+// predicate (an equality is the range [v, v]) reads its sample column in
+// full only for words no earlier predicate has thinned, and otherwise only
+// at the surviving rows, so wildcards cost nothing per row and a selective
+// first predicate leaves little work for the rest.
 func (st *SelStats) jointSel(preds []dataspace.Pred) float64 {
 	if st.sampled == 0 {
 		return 1
 	}
-	matched := 0
-	for j := 0; j < st.sampled; j++ {
-		ok := true
-		for i := range preds {
-			p := &preds[i]
-			v := st.cols[i][j]
-			if st.isCat[i] {
-				if !p.Wild && v != p.Value {
-					ok = false
-					break
+	var live [statsSampleMax / 64]uint64
+	words := (st.sampled + 63) / 64
+	for w := range words {
+		live[w] = ^uint64(0)
+	}
+	if tail := st.sampled % 64; tail != 0 {
+		// A partial word never reads as full, so the dense branch below
+		// only ever slices whole 64-row words.
+		live[words-1] = 1<<tail - 1
+	}
+	for i := range preds {
+		p := &preds[i]
+		lo, hi := p.Lo, p.Hi
+		if st.isCat[i] {
+			if p.Wild {
+				continue
+			}
+			lo, hi = p.Value, p.Value
+		} else if lo == dataspace.NegInf && hi == dataspace.PosInf {
+			continue
+		}
+		col := st.cols[i]
+		for w := range words {
+			m := live[w]
+			if m == ^uint64(0) {
+				var keep uint64
+				for b, v := range col[w<<6 : w<<6+64] {
+					if v >= lo && v <= hi {
+						keep |= 1 << b
+					}
 				}
-			} else if v < p.Lo || v > p.Hi {
-				ok = false
-				break
+				live[w] = keep
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				if b := bits.TrailingZeros64(m); col[w<<6|b] < lo || col[w<<6|b] > hi {
+					live[w] &^= 1 << b
+				}
 			}
 		}
-		if ok {
-			matched++
-		}
+	}
+	matched := 0
+	for _, m := range live[:words] {
+		matched += bits.OnesCount64(m)
 	}
 	sel := float64(matched) / float64(st.sampled)
 	if floor := 0.5 / float64(st.sampled); sel < floor {
