@@ -24,8 +24,7 @@
 // built on first run (in the same priority permutation the in-memory
 // engine uses, partitioned into -shards bands) and reused thereafter, so
 // restarts skip dataset generation entirely. Responses and query counts
-// are bit-identical to -engine mem; GET /stats reports the engine kind and
-// the disk block cache's hit/miss counters:
+// are bit-identical to -engine mem; GET /stats reports the engine kind:
 //
 //	hidb-server -dataset yahoo -engine disk -data-dir ./data -shards 8
 //

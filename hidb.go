@@ -94,8 +94,8 @@
 // file: per-attribute column segments, per-band posting-list and
 // sorted-projection indexes, and a checksummed footer carrying the schema
 // and the planner's selectivity sample. OpenDisk maps the file read-only
-// and serves Select/Count straight off the mapped pages through a small
-// cache of materialized hot blocks, so serving a 10M-tuple store costs
+// and serves Select/Count straight off the mapped pages; only the rows a
+// query returns are copied to the heap, so serving a 10M-tuple store costs
 // megabytes of heap, not gigabytes. NewDiskLocalServer wraps the opened
 // store as a LocalServer; everything stacked on a local server — sessions,
 // journals, the shared cache, the HTTP handler — runs unchanged on top.
@@ -620,14 +620,14 @@ type (
 	DiskStore = diskstore.Store
 	// DiskBuildOptions tunes BuildDisk (the priority-range band count).
 	DiskBuildOptions = diskstore.BuildOptions
-	// DiskOpenOptions tunes OpenDisk (block-cache size, full-file verify).
+	// DiskOpenOptions tunes OpenDisk (full-file verify).
 	DiskOpenOptions = diskstore.OpenOptions
 	// DiskCorruptionError reports a torn or bit-flipped store file; the
 	// damaged file is quarantined as path+".corrupt".
 	DiskCorruptionError = diskstore.CorruptionError
-	// EngineStats identifies a server's engine ("mem" or "disk") and, for
-	// the disk engine, its block-cache hit/miss counters. A session server
-	// reports them on GET /stats and in the /crawl terminal event.
+	// EngineStats identifies a server's engine ("mem" or "disk"). A
+	// session server reports it on GET /stats and in the /crawl terminal
+	// event.
 	EngineStats = index.EngineStats
 )
 
@@ -657,7 +657,7 @@ func RankOrder(tuples Bag, seed uint64) []Tuple { return hiddendb.RankOrder(tupl
 // return limit k: the full server contract — Answer, AnswerBatch, quotas,
 // sessions, journals, the HTTP stack — over the disk engine. The store's
 // rank order is its tuple priority (fixed at build time), so no seed is
-// taken here; LocalServer.EngineStats exposes the block-cache counters.
+// taken here; LocalServer.EngineStats reports the "disk" engine kind.
 func NewDiskLocalServer(store *DiskStore, k int) (*LocalServer, error) {
 	return hiddendb.NewLocalEngine(store, k)
 }

@@ -225,11 +225,13 @@ func (s *session) emit(tuples dataspace.Bag) {
 	}
 }
 
-// emitMatching appends the subset of tuples covered by q.
-func (s *session) emitMatching(tuples dataspace.Bag, q dataspace.Query) {
+// emitSlice appends the tuples of a resolved slice answer (A_level = v)
+// that fall in the child q.WithValue(level, v) of node q. q is a wildcard
+// at level, so the test is exact without building the child query.
+func (s *session) emitSlice(tuples dataspace.Bag, q dataspace.Query, level int, v int64) {
 	start := len(s.out)
 	for _, t := range tuples {
-		if q.Covers(t) {
+		if t[level] == v && q.Covers(t) {
 			s.out = append(s.out, t)
 		}
 	}

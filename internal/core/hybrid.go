@@ -48,7 +48,7 @@ func (h Hybrid) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (
 	}
 
 	s := newSession(ctx, srv, opts, true)
-	oracle := sliceOracle{s: s}
+	oracle := newSliceOracle(s)
 
 	if h.EagerSlices {
 		for i := 0; i < cat; i++ {

@@ -47,21 +47,23 @@ func (LazySliceCover) Crawl(ctx context.Context, srv hiddendb.Server, opts *Opti
 	return sliceCoverCrawl(ctx, srv, opts, false)
 }
 
-// sliceQuery builds the slice query "attr = value, wildcard elsewhere"
-// (numeric attributes, present only under hybrid, get full ranges).
-func sliceQuery(sch *dataspace.Schema, attr int, value int64) dataspace.Query {
-	return dataspace.UniverseQuery(sch).WithValue(attr, value)
-}
-
 // sliceOracle hands extended-DFS the response of a slice query. Both the
 // eager table and the lazy variant are just the memoizing session view; the
 // only difference is whether a preprocessing pass has already populated it.
 type sliceOracle struct {
-	s *session
+	s        *session
+	universe dataspace.Query
 }
 
+func newSliceOracle(s *session) sliceOracle {
+	return sliceOracle{s: s, universe: dataspace.UniverseQuery(s.schema)}
+}
+
+// get issues the slice query "attr = value, wildcard elsewhere" (numeric
+// attributes, present only under hybrid, get full ranges). The query is
+// built per call and not retained: the memo keeps only its key.
 func (o sliceOracle) get(attr int, value int64) (hiddendb.Result, error) {
-	return o.s.issue(sliceQuery(o.s.schema, attr, value))
+	return o.s.issue(o.universe.WithValue(attr, value))
 }
 
 // sliceCoverCrawl runs slice-cover (eager=true) or lazy-slice-cover
@@ -69,7 +71,7 @@ func (o sliceOracle) get(attr int, value int64) (hiddendb.Result, error) {
 func sliceCoverCrawl(ctx context.Context, srv hiddendb.Server, opts *Options, eager bool) (*Result, error) {
 	s := newSession(ctx, srv, opts, true) // memoized: repeated queries are free
 	sch := s.schema
-	oracle := sliceOracle{s: s}
+	oracle := newSliceOracle(s)
 
 	anyOverflow := false
 	if eager {
@@ -150,10 +152,10 @@ func sliceCoverCrawl(ctx context.Context, srv hiddendb.Server, opts *Options, ea
 // For each child, the oracle's slice response is consulted first: if the
 // slice resolved, the child's answer is computed locally with no server
 // round-trip (Lemma 3 guarantees the slice's bag contains the child's bag).
+// The child query itself is built only when it is issued or recursed into.
 func extendedDFS(s *session, oracle sliceOracle, q dataspace.Query, level, catDims int) error {
 	u := s.schema.Attr(level).DomainSize
 	for v := int64(1); v <= int64(u); v++ {
-		child := q.WithValue(level, v)
 		slice, err := oracle.get(level, v)
 		if err != nil {
 			return err
@@ -161,9 +163,10 @@ func extendedDFS(s *session, oracle sliceOracle, q dataspace.Query, level, catDi
 		if slice.Resolved() {
 			// Answer locally: the child's result is the subset of the
 			// slice's result satisfying the child's other predicates.
-			s.emitMatching(slice.Tuples, child)
+			s.emitSlice(slice.Tuples, q, level, v)
 			continue
 		}
+		child := q.WithValue(level, v)
 		if level+1 == catDims {
 			// Categorical point reached. Pure categorical: one point
 			// query, which must resolve. Mixed (hybrid): rank-shrink over

@@ -15,15 +15,18 @@ import (
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 	"hidb/internal/index"
+	"hidb/internal/parallel"
 )
 
 // benchState lazily builds the shared bench fixtures: the 1M pathological
 // tier as a disk store file and as an in-memory sharded store, plus the
-// YahooLike dataset both ways. Built once per bench binary; the disk files
-// live in one temp dir removed by TestMain.
+// YahooLike dataset both ways, and — separately, on first use — the
+// Realistic 100k tier both ways. Built once per bench binary; the disk
+// files live in one temp dir removed by TestMain.
 var benchState struct {
 	sync.Once
-	dir string
+	dirOnce sync.Once
+	dir     string
 
 	patho1MPath string
 	patho1MMem  *index.Sharded
@@ -31,24 +34,37 @@ var benchState struct {
 	yahooPath string
 	yahooMem  *index.Sharded
 	yahoo     *datagen.Dataset
+
+	tier100KOnce sync.Once
+	tier100KPath string
+	tier100KMem  *index.Sharded
 }
 
 const benchBands = 4
 
-func benchSetup(tb testing.TB) {
+// benchDir creates the fixtures' temp dir on first use.
+func benchDir(tb testing.TB) string {
 	tb.Helper()
-	benchState.Do(func() {
+	benchState.dirOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "hidb-diskbench-*")
 		if err != nil {
 			tb.Fatal(err)
 		}
 		benchState.dir = dir
+	})
+	return benchState.dir
+}
 
+func benchSetup(tb testing.TB) {
+	tb.Helper()
+	benchState.Do(func() {
+		dir := benchDir(tb)
 		ds := datagen.Tiered(datagen.PatternPathological, datagen.Tier1M, 1)
 		benchState.patho1MPath = filepath.Join(dir, "patho-1m.hidb")
 		if err := BuildRanked(benchState.patho1MPath, ds.Schema, ds.Tuples, BuildOptions{Bands: benchBands}); err != nil {
 			tb.Fatal(err)
 		}
+		var err error
 		if benchState.patho1MMem, err = index.NewSharded(ds.Schema, ds.Tuples, benchBands); err != nil {
 			tb.Fatal(err)
 		}
@@ -99,7 +115,7 @@ func reportMS(b *testing.B, label string, d time.Duration) {
 }
 
 // BenchmarkIntersect3Way1MDiskCold measures the needle conjunction on a
-// freshly opened disk store: empty block cache, unwarmed scratch pools — the
+// freshly opened disk store: unwarmed scratch pools — the
 // first-query latency a just-started server pays, dominated by the
 // planner's bitmap AND over the mapped posting lists.
 func BenchmarkIntersect3Way1MDiskCold(b *testing.B) {
@@ -137,7 +153,7 @@ func BenchmarkIntersect3Way1MMemCold(b *testing.B) {
 }
 
 // BenchmarkIntersect3Way1MDiskWarm measures the steady state the
-// acceptance criterion bounds: scratch pools warm, hot blocks promoted — the
+// acceptance criterion bounds: scratch pools warm — the
 // per-query cost a long-running disk server pays, to compare against
 // BenchmarkIntersect3Way1MMemCold's steady state.
 func BenchmarkIntersect3Way1MDiskWarm(b *testing.B) {
@@ -145,7 +161,7 @@ func BenchmarkIntersect3Way1MDiskWarm(b *testing.B) {
 	s := benchOpen(b, benchState.patho1MPath)
 	defer s.Close()
 	q := needle1M(s.Schema())
-	for i := 0; i < 20; i++ { // warm the scratch pools and promote the needle blocks
+	for i := 0; i < 20; i++ { // warm the scratch pools
 		s.Select(q, 64)
 	}
 	b.ReportAllocs()
@@ -159,16 +175,22 @@ func BenchmarkIntersect3Way1MDiskWarm(b *testing.B) {
 	reportMS(b, "intersect3way_1m_disk_warm", time.Since(start))
 }
 
-// crawlEngine runs a full extraction over the engine and returns the paid
-// query count and wall time.
+// crawlEngine runs a full sequential extraction over the engine and
+// returns the paid query count and wall time.
 func crawlEngine(b *testing.B, eng index.Engine, k, wantTuples int) (int, time.Duration) {
+	return crawlWith(b, core.ForSchema(eng.Schema()), eng, k, wantTuples)
+}
+
+// crawlWith runs a full extraction over the engine with crawler c and
+// returns the paid query count and wall time.
+func crawlWith(b *testing.B, c core.Crawler, eng index.Engine, k, wantTuples int) (int, time.Duration) {
 	b.Helper()
 	srv, err := hiddendb.NewLocalEngine(eng, k)
 	if err != nil {
 		b.Fatal(err)
 	}
 	start := time.Now()
-	res, err := core.ForSchema(eng.Schema()).Crawl(context.Background(), srv, nil)
+	res, err := c.Crawl(context.Background(), srv, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,6 +251,45 @@ func BenchmarkCrawlPathological1MMemVsDisk(b *testing.B) {
 	b.ReportMetric(float64(memQ), "crawl_patho_1m_queries")
 	reportMS(b, "crawl_patho_1m_mem", memT)
 	reportMS(b, "crawl_patho_1m_disk", diskT)
+}
+
+// BenchmarkCrawlTier100KParallelDisk is the parallel crawler over a disk
+// store: the Realistic 100k tier (tier seed 1) in GOMAXPROCS bands, k =
+// 100, 16 workers. Each iteration crawls a freshly opened store; the
+// _queries metric pins the crawl's cost, which must equal the same
+// parallel crawl over the in-memory sharded engine.
+func BenchmarkCrawlTier100KParallelDisk(b *testing.B) {
+	const k = 100
+	benchState.tier100KOnce.Do(func() {
+		ds := datagen.Tiered(datagen.PatternRealistic, datagen.Tier100K, 1)
+		bands := runtime.GOMAXPROCS(0)
+		benchState.tier100KPath = filepath.Join(benchDir(b), "realistic-100k.hidb")
+		if err := BuildRanked(benchState.tier100KPath, ds.Schema, ds.Tuples, BuildOptions{Bands: bands}); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if benchState.tier100KMem, err = index.NewSharded(ds.Schema, ds.Tuples, bands); err != nil {
+			b.Fatal(err)
+		}
+	})
+	crawler := parallel.Crawler{Workers: 16}
+	n := datagen.Tier100K.N()
+	memQ, _ := crawlWith(b, crawler, benchState.tier100KMem, k, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var diskQ int
+	var diskT time.Duration
+	for i := 0; i < b.N; i++ {
+		disk := benchOpen(b, benchState.tier100KPath)
+		q, t := crawlWith(b, crawler, disk, k, n)
+		disk.Close()
+		diskQ, diskT = q, diskT+t
+		if diskQ != memQ {
+			b.Fatalf("parallel disk crawl paid %d queries, mem paid %d — the engine swap changed the cost metric", diskQ, memQ)
+		}
+	}
+	b.ReportMetric(float64(diskQ), "crawl_tier100k_parallel_queries")
+	reportMS(b, "crawl_tier100k_parallel", diskT)
 }
 
 // BenchmarkBuild1MDisk measures the streaming build of the 1M tier — the

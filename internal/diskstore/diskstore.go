@@ -33,9 +33,12 @@
 //   - bitmap indexes are rebuilt at Open from the on-disk posting lists
 //     under the same size/domain gates the in-memory constructor applies.
 //
-// Result rows are materialized lazily through a small pinned block cache
-// (cache.go) whose hit/miss counters surface in EngineStats; planning and
-// filtering never materialize anything — they read the mapped columns.
+// Planning and filtering never materialize anything — they read the
+// mapped columns. Only an emitted result row is materialized: its d values
+// are copied out of the same mapped column words that filtering just read
+// (so the copy costs no extra I/O) into a fresh heap tuple. Tuples are
+// never views into the mapping, so a caller may retain them indefinitely
+// and they stay valid after Close.
 //
 // # Integrity
 //
@@ -62,8 +65,8 @@ import (
 
 // OpenOptions configures Open.
 type OpenOptions struct {
-	// CacheBlocks bounds the pinned block cache (blocks of 256
-	// materialized rows). 0 means the default (1024 blocks).
+	// CacheBlocks is ignored: the engine has no row cache. It is kept
+	// only so existing callers compile.
 	CacheBlocks int
 	// Verify makes Open checksum every segment before serving (reads the
 	// whole file once). Without it only the footer and the index
@@ -78,7 +81,6 @@ type Store struct {
 	schema *dataspace.Schema
 	n      int
 	bands  []*index.Store
-	cache  *blockCache
 	cols   [][]int64
 	segs   []segMeta
 	data   []byte
@@ -109,7 +111,7 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, cerr := assemble(path, data, opts)
+	s, cerr := assemble(path, data)
 	if cerr == nil && opts.Verify {
 		cerr = verifySegments(data, s.segs)
 	}
@@ -125,7 +127,7 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 
 // assemble validates the footer and builds the per-band stores over views
 // of the mapped bytes.
-func assemble(path string, data []byte, opts OpenOptions) (*Store, *CorruptionError) {
+func assemble(path string, data []byte) (*Store, *CorruptionError) {
 	ft, err := decodeFooter(data)
 	if err != nil {
 		return nil, err.(*CorruptionError)
@@ -168,7 +170,6 @@ func assemble(path string, data []byte, opts OpenOptions) (*Store, *CorruptionEr
 		path:   path,
 		schema: schema,
 		n:      n,
-		cache:  newBlockCache(cols, n, opts.CacheBlocks),
 		cols:   cols,
 		segs:   ft.Segments,
 		data:   data,
@@ -188,8 +189,7 @@ func assemble(path string, data []byte, opts OpenOptions) (*Store, *CorruptionEr
 		}
 		if bn > 0 {
 			base := int32(lo)
-			cache := s.cache
-			a.Row = func(r int32) dataspace.Tuple { return cache.row(base + r) }
+			a.Row = func(r int32) dataspace.Tuple { return s.row(base + r) }
 		}
 		for i := 0; i < d; i++ {
 			a.Cols[i] = cols[i][lo:hi]
@@ -330,11 +330,17 @@ func (s *Store) PlanStats() index.PlanStats {
 	return ps
 }
 
-// EngineStats reports the disk engine and its block-cache counters.
-func (s *Store) EngineStats() index.EngineStats {
-	hits, misses, resident := s.cache.counters()
-	return index.EngineStats{Kind: "disk", CacheHits: hits, CacheMisses: misses, CacheBlocks: resident}
+// row returns a fresh heap copy of the tuple at global rank r.
+func (s *Store) row(r int32) dataspace.Tuple {
+	t := make(dataspace.Tuple, len(s.cols))
+	for i, col := range s.cols {
+		t[i] = col[r]
+	}
+	return t
 }
+
+// EngineStats identifies the disk engine.
+func (s *Store) EngineStats() index.EngineStats { return index.EngineStats{Kind: "disk"} }
 
 // Select returns up to limit+1 tuples matching q in descending priority
 // order — bit-identical to the in-memory engines over the same relation.

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hidb/internal/datagen"
@@ -255,27 +256,13 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineStatsCounters exercises the block cache: a repeated hot query
-// must hit the cache, and the counters must surface through EngineStats.
+// TestEngineStatsCounters: both engines identify themselves through
+// EngineStats.
 func TestEngineStatsCounters(t *testing.T) {
-	disk := openStore(t, buildTier(t, datagen.PatternSequential, datagen.Tier10K, 7, 1), OpenOptions{CacheBlocks: 4})
-	if es := disk.EngineStats(); es.Kind != "disk" || es.CacheHits != 0 || es.CacheMisses != 0 {
-		t.Fatalf("fresh store EngineStats = %+v", es)
+	disk := openStore(t, buildTier(t, datagen.PatternSequential, datagen.Tier10K, 7, 1), OpenOptions{})
+	if es := disk.EngineStats(); es.Kind != "disk" {
+		t.Fatalf("disk EngineStats = %+v", es)
 	}
-	q := dataspace.UniverseQuery(disk.Schema()).WithValue(0, 1)
-	for i := 0; i < 10; i++ {
-		if got := disk.Select(q, 9); len(got) != 10 {
-			t.Fatalf("Select returned %d tuples", len(got))
-		}
-	}
-	es := disk.EngineStats()
-	if es.CacheMisses == 0 || es.CacheHits == 0 {
-		t.Fatalf("cache counters did not move: %+v", es)
-	}
-	if es.CacheBlocks < 1 || es.CacheBlocks > 4 {
-		t.Fatalf("resident blocks %d escaped the cap", es.CacheBlocks)
-	}
-	// The in-memory engines identify themselves too.
 	ds := datagen.Tiered(datagen.PatternSequential, datagen.Tier10K, 7)
 	mem, err := index.New(ds.Schema, ds.Tuples)
 	if err != nil {
@@ -283,6 +270,100 @@ func TestEngineStatsCounters(t *testing.T) {
 	}
 	if es := mem.EngineStats(); es.Kind != "mem" {
 		t.Fatalf("mem EngineStats = %+v", es)
+	}
+}
+
+// TestDiskRowsAreFreshCopies pins the row-ownership contract: every tuple
+// the disk engine returns is the caller's own copy. Scribbling over the
+// results of Select and SelectBatch must not change what the same queries
+// return next, and a retained result must stay intact after Close unmaps
+// the file.
+func TestDiskRowsAreFreshCopies(t *testing.T) {
+	disk, err := Open(buildTier(t, datagen.PatternRandom, datagen.Tier10K, 5, 2), OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := simrand.New(17)
+	qs := make([]dataspace.Query, 32)
+	for i := range qs {
+		qs[i] = tierQuery(disk.Schema(), rng, disk.Size())
+	}
+	qs[0] = dataspace.UniverseQuery(disk.Schema())
+
+	deepCopy := func(res [][]dataspace.Tuple) [][]dataspace.Tuple {
+		out := make([][]dataspace.Tuple, len(res))
+		for i, ts := range res {
+			for _, tup := range ts {
+				out[i] = append(out[i], slices.Clone(tup))
+			}
+		}
+		return out
+	}
+	scribble := func(res [][]dataspace.Tuple) {
+		for _, ts := range res {
+			for _, tup := range ts {
+				for j := range tup {
+					tup[j] = -1
+				}
+			}
+		}
+	}
+	selectAll := func() [][]dataspace.Tuple {
+		out := make([][]dataspace.Tuple, len(qs))
+		for i, q := range qs {
+			out[i] = disk.Select(q, 99)
+		}
+		return out
+	}
+
+	single := selectAll()
+	want := deepCopy(single)
+	scribble(single)
+	batch := disk.SelectBatch(context.Background(), qs, 99)
+	for i := range qs {
+		if !sameTuples(batch[i], want[i]) {
+			t.Fatalf("query %d: SelectBatch after mutating Select results differs from the original answer", i)
+		}
+	}
+	scribble(batch)
+	retained := selectAll()
+	for i := range qs {
+		if !sameTuples(retained[i], want[i]) {
+			t.Fatalf("query %d: Select after mutating SelectBatch results differs from the original answer", i)
+		}
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if !sameTuples(retained[i], want[i]) {
+			t.Fatalf("query %d: retained result changed after Close", i)
+		}
+	}
+}
+
+// TestDiskSelectAllocs bounds a disk Select's heap work: one allocation
+// per returned tuple (its fresh copy) plus one for the result slice, in
+// steady state and for any OpenOptions. CacheBlocks: 1 is a tiny row-cache
+// setting the engine ignores; it must not add allocations either.
+func TestDiskSelectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items nondeterministically under -race")
+	}
+	disk := openStore(t, buildTier(t, datagen.PatternRandom, datagen.Tier10K, 5, 1), OpenOptions{CacheBlocks: 1})
+	sch := disk.Schema()
+	rng := simrand.New(23)
+	qs := []dataspace.Query{dataspace.UniverseQuery(sch), dataspace.UniverseQuery(sch).WithValue(0, 3)}
+	for len(qs) < 16 {
+		qs = append(qs, tierQuery(sch, rng, disk.Size()))
+	}
+	for i, q := range qs {
+		var got []dataspace.Tuple
+		disk.Select(q, 999) // pool warmup before measuring
+		allocs := testing.AllocsPerRun(20, func() { got = disk.Select(q, 999) })
+		if limit := float64(len(got) + 1); allocs > limit {
+			t.Errorf("query %d (%v): %.0f allocs for %d tuples, want <= %.0f", i, q, allocs, len(got), limit)
+		}
 	}
 }
 

@@ -802,20 +802,14 @@ func (h *Handler) handleStats(w http.ResponseWriter) {
 	writeJSON(w, msg)
 }
 
-// engineStats snapshots the backing server's engine identity and cache
-// counters, or nil when the server does not expose them (a remote proxy).
+// engineStats reports the backing server's engine identity, or nil when
+// the server does not expose it (a remote proxy).
 func (h *Handler) engineStats() *wire.EngineStatsMsg {
 	es, ok := h.srv.(interface{ EngineStats() index.EngineStats })
 	if !ok {
 		return nil
 	}
-	st := es.EngineStats()
-	return &wire.EngineStatsMsg{
-		Kind:        st.Kind,
-		CacheHits:   st.CacheHits,
-		CacheMisses: st.CacheMisses,
-		CacheBlocks: st.CacheBlocks,
-	}
+	return &wire.EngineStatsMsg{Kind: es.EngineStats().Kind}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -105,8 +105,8 @@ type Store struct {
 	// artifact-backed stores, which materialize rows through row instead.
 	byRank []dataspace.Tuple
 	// row materializes the tuple at a rank when byRank is nil — the hook
-	// an artifact-backed store (e.g. a disk store serving rows from
-	// mmap'd pages through a block cache) plugs its lazy row source into.
+	// an artifact-backed store (e.g. a disk store copying rows out of
+	// mmap'd pages) plugs its lazy row source into.
 	row func(r int32) dataspace.Tuple
 	// isCat flattens the schema's attribute kinds for branch-friendly
 	// predicate checks.
@@ -268,8 +268,8 @@ type Artifacts struct {
 	// with the in-memory engine's.
 	Stats *SelStats
 	// Row materializes the tuple at a rank. Only result emission calls
-	// it — planning and filtering read Cols — so a caller can serve it
-	// from a cache of disk pages.
+	// it — planning and filtering read Cols — and it must return a tuple
+	// the caller may retain.
 	Row func(r int32) dataspace.Tuple
 }
 
@@ -366,7 +366,7 @@ func (s *Store) All() []dataspace.Tuple {
 }
 
 // EngineStats identifies the in-memory engine. Artifact-backed engines
-// report their own kind and cache counters.
+// report their own kind.
 func (s *Store) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }
 
 // Stats returns the store's sampled selectivity statistics.

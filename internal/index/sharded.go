@@ -42,23 +42,19 @@ type Engine interface {
 	// PlanStats returns the planner's cumulative per-access-path Select
 	// execution counts.
 	PlanStats() PlanStats
-	// EngineStats returns the engine's kind ("mem", "disk") and, for
-	// engines that serve rows through a cache, its hit/miss counters.
+	// EngineStats returns the engine's kind ("mem", "disk").
 	EngineStats() EngineStats
 }
 
-// EngineStats identifies which engine implementation answers queries and,
-// for disk-backed engines, how its block cache is behaving. The in-memory
-// engines report only their kind; counters stay zero.
+// EngineStats identifies which engine implementation answers queries.
 type EngineStats struct {
 	// Kind names the backing engine: "mem" or "disk".
 	Kind string `json:"kind"`
-	// CacheHits and CacheMisses count block-cache lookups during row
-	// materialization (disk engines only).
+	// CacheHits, CacheMisses and CacheBlocks are always 0: no engine has
+	// a row cache. They are kept only for callers that still read them.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
-	// CacheBlocks is the number of currently resident cache blocks.
-	CacheBlocks int `json:"cacheBlocks"`
+	CacheBlocks int   `json:"cacheBlocks"`
 }
 
 var (

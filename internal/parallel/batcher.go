@@ -98,7 +98,8 @@ type batcher struct {
 	// observer never blocks result delivery or the dispatcher.
 	progressMu sync.Mutex
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// flights is keyed by the query's binary Query.AppendKey encoding.
 	flights map[string]*flight
 	// deferred holds an error the server reported alongside a fully
 	// answered batch (e.g. a remote quota signal flagged on the last
@@ -127,8 +128,9 @@ type flight struct {
 }
 
 // flightReq pairs a query with the flight awaiting its response. key is
-// q.Key(), precomputed by Answer: under a virtual clock the dispatcher
-// sorts the pending list by it (see run).
+// the query's flights-map key, minted by Answer: under a virtual clock the
+// dispatcher sorts the pending list by it (see run) — any canonical total
+// order of the pending set makes the launches deterministic.
 type flightReq struct {
 	q   dataspace.Query
 	key string
@@ -235,6 +237,11 @@ func (b *batcher) idleTick() bool {
 // distinct query is issued at most once across all workers. A crawl whose
 // ctx is already cancelled fails fast without enqueueing.
 //
+// The memo key is built into a stack buffer and the map is probed with
+// string(kb), which the compiler does not allocate for, so a hit on a
+// sealed flight allocates nothing; only a new flight's key is copied to
+// the heap.
+//
 // Clock protocol: the calling worker owns one hold. A worker that joins an
 // existing flight releases it while blocked (delivery mints it back); the
 // worker that creates the flight keeps its hold riding the queued request,
@@ -249,9 +256,10 @@ func (b *batcher) Answer(q dataspace.Query) (hiddendb.Result, error) {
 		b.mu.Unlock()
 		return hiddendb.Result{}, nil
 	}
-	key := q.Key()
+	var buf [128]byte
+	kb := q.AppendKey(buf[:0])
 	b.mu.Lock()
-	if f, ok := b.flights[key]; ok {
+	if f, ok := b.flights[string(kb)]; ok {
 		if f.sealed {
 			b.mu.Unlock()
 			return f.res, f.err
@@ -267,6 +275,7 @@ func (b *batcher) Answer(q dataspace.Query) (hiddendb.Result, error) {
 		return hiddendb.Result{}, err
 	}
 	f := &flight{done: make(chan struct{}), waiters: 1}
+	key := string(kb)
 	b.flights[key] = f
 	b.mu.Unlock()
 

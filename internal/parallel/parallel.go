@@ -85,15 +85,18 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 	}
 	b := newBatcher(ctx, srv, maxBatch, depth, adaptive, opts.Clock, opts)
 	defer b.close()
+	schema := srv.Schema()
+	cat := schema.Cat()
 	p := &pool{
-		srv:    b,
-		clock:  opts.Clock,
-		schema: srv.Schema(),
-		k:      srv.K(),
-		opts:   opts,
-		quit:   make(chan struct{}),
+		srv:      b,
+		clock:    opts.Clock,
+		schema:   schema,
+		universe: dataspace.UniverseQuery(schema),
+		slices:   make([]sliceTable, cat),
+		k:        srv.K(),
+		opts:     opts,
+		quit:     make(chan struct{}),
 	}
-	cat := p.schema.Cat()
 
 	// Under a virtual clock the crawl's root goroutine counts as runnable
 	// until it has finished seeding tasks; without the hold, the clock
@@ -101,13 +104,13 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 	p.clock.Hold()
 
 	if cat == 0 {
-		p.spawn(func() error { return p.rankShrink(dataspace.UniverseQuery(p.schema)) })
+		p.spawn(func() error { return p.rankShrink(p.universe) })
 	} else if cat == 1 {
 		// Theorem 1's cat = 1 case: one slice query per A1 value, each
 		// overflowing one finished by rank-shrink — all independent.
-		u := p.schema.Attr(0).DomainSize
-		p.spawnChildren(int64(u), func(v int64) error {
-			q := dataspace.UniverseQuery(p.schema).WithValue(0, v)
+		sliceQs := p.sliceQueries(0)
+		p.spawnChildren(int64(len(sliceQs)), func(v int64) error {
+			q := sliceQs[v-1]
 			res, err := p.srv.Answer(q)
 			if err != nil {
 				return err
@@ -119,7 +122,7 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 			return p.rankShrink(q)
 		})
 	} else {
-		root := dataspace.UniverseQuery(p.schema)
+		root := p.universe
 		p.spawn(func() error {
 			res, err := p.srv.Answer(root)
 			if err != nil {
@@ -143,9 +146,13 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 
 // pool carries the shared state of one parallel crawl.
 type pool struct {
-	srv    *batcher
-	clock  *hiddendb.SimClock // nil outside virtual-time simulations
-	schema *dataspace.Schema
+	srv      *batcher
+	clock    *hiddendb.SimClock // nil outside virtual-time simulations
+	schema   *dataspace.Schema
+	universe dataspace.Query
+	// slices holds each categorical level's slice queries, built once per
+	// crawl and shared by every node of that level (see sliceQueries).
+	slices []sliceTable
 	k      int
 	opts   *core.Options
 
@@ -232,16 +239,38 @@ func (p *pool) emit(tuples dataspace.Bag) {
 	}
 }
 
-func (p *pool) emitMatching(tuples dataspace.Bag, q dataspace.Query) {
+// emitSlice emits the tuples of a resolved slice answer (A_level = v) that
+// fall in the child q.WithValue(level, v) of node q. q is a wildcard at
+// level, so the test is exact without building the child query.
+func (p *pool) emitSlice(tuples dataspace.Bag, q dataspace.Query, level int, v int64) {
 	var kept dataspace.Bag
 	for _, t := range tuples {
-		if q.Covers(t) {
+		if t[level] == v && q.Covers(t) {
 			kept = append(kept, t)
 		}
 	}
 	if len(kept) > 0 {
 		p.emit(kept)
 	}
+}
+
+// sliceTable is one level's slice queries, built on first use.
+type sliceTable struct {
+	once sync.Once
+	qs   []dataspace.Query // qs[v-1] is A_level = v, wildcard elsewhere
+}
+
+// sliceQueries returns the slice queries of categorical attribute level,
+// building them on the first call of the crawl.
+func (p *pool) sliceQueries(level int) []dataspace.Query {
+	st := &p.slices[level]
+	st.once.Do(func() {
+		st.qs = make([]dataspace.Query, p.schema.Attr(level).DomainSize)
+		for i := range st.qs {
+			st.qs[i] = p.universe.WithValue(level, int64(i+1))
+		}
+	})
+	return st.qs
 }
 
 func (p *pool) finish() *core.Result {
@@ -298,17 +327,17 @@ func (p *pool) rankShrink(q dataspace.Query) error {
 // node is the parallel form of extended-DFS at an overflowing node: every
 // child is independent given the (deduplicated) slice responses.
 func (p *pool) node(q dataspace.Query, level, cat int) error {
-	u := int64(p.schema.Attr(level).DomainSize)
-	p.spawnChildren(u, func(v int64) error {
-		child := q.WithValue(level, v)
-		slice, err := p.srv.Answer(dataspace.UniverseQuery(p.schema).WithValue(level, v))
+	sliceQs := p.sliceQueries(level)
+	p.spawnChildren(int64(len(sliceQs)), func(v int64) error {
+		slice, err := p.srv.Answer(sliceQs[v-1])
 		if err != nil {
 			return err
 		}
 		if slice.Resolved() {
-			p.emitMatching(slice.Tuples, child)
+			p.emitSlice(slice.Tuples, q, level, v)
 			return nil
 		}
+		child := q.WithValue(level, v)
 		if level+1 == cat {
 			return p.rankShrink(child)
 		}

@@ -374,3 +374,28 @@ func TestName(t *testing.T) {
 		t.Error("worker count not in name")
 	}
 }
+
+// TestBatcherMemoHitAllocs: answering a query whose flight is already
+// sealed is a pure memo lookup and allocates nothing — extended DFS
+// consults the same slice answers from every node of a level.
+func TestBatcherMemoHitAllocs(t *testing.T) {
+	ds := dataset(t, specs()["mixed"], 3)
+	b := newBatcher(context.Background(), server(t, ds, 50), 4, 2, false, nil, &core.Options{})
+	defer b.close()
+	q := dataspace.UniverseQuery(ds.Schema).WithValue(1, 3).WithRange(2, 100, 5000)
+	want, err := b.Answer(q) // seals the flight
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got hiddendb.Result
+	allocs := testing.AllocsPerRun(100, func() { got, err = b.Answer(q) })
+	if err != nil || len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("memo hit: %d tuples, err %v; want %d", len(got.Tuples), err, len(want.Tuples))
+	}
+	if allocs != 0 {
+		t.Errorf("memo hit on a sealed flight: %.1f allocs, want 0", allocs)
+	}
+	if queries, _, _, _, _ := b.stats(); queries != 1 {
+		t.Errorf("%d queries reached the server, want 1", queries)
+	}
+}

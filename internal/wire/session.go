@@ -93,9 +93,9 @@ type CrawlEvent struct {
 	CacheHits   int `json:"cacheHits,omitempty"`
 	SharedHits  int `json:"sharedHits,omitempty"`
 	SharedWaits int `json:"sharedWaits,omitempty"`
-	// Engine identifies the store engine that served the crawl and, for
-	// the disk engine, its block-cache counters (terminal line; absent
-	// when the backing server does not expose engine introspection).
+	// Engine identifies the store engine that served the crawl (terminal
+	// line; absent when the backing server does not expose engine
+	// introspection).
 	Engine *EngineStatsMsg `json:"engine,omitempty"`
 	// Error reports a crawl that could not complete (terminal line).
 	Error string `json:"error,omitempty"`
@@ -105,16 +105,10 @@ type CrawlEvent struct {
 
 // EngineStatsMsg identifies the server's store engine in the /stats
 // response and the /crawl terminal event: "mem" for the in-memory columnar
-// store, "disk" for the disk-resident one, with the disk engine's pinned
-// block-cache counters (lifetime totals, zero for mem).
+// store, "disk" for the disk-resident one.
 type EngineStatsMsg struct {
 	// Kind is "mem" or "disk".
 	Kind string `json:"kind"`
-	// CacheHits and CacheMisses count block-cache lookups over the
-	// engine's lifetime; CacheBlocks is the resident materialized blocks.
-	CacheHits   int64 `json:"cacheHits,omitempty"`
-	CacheMisses int64 `json:"cacheMisses,omitempty"`
-	CacheBlocks int   `json:"cacheBlocks,omitempty"`
 }
 
 // StatsMsg is the response of the GET /stats endpoint.
@@ -132,9 +126,8 @@ type StatsMsg struct {
 	// Planner carries the store's query-planner counters when the backing
 	// server exposes them (a local store does; a remote proxy may not).
 	Planner *PlannerStatsMsg `json:"planner,omitempty"`
-	// Engine identifies the store engine ("mem" or "disk") with the disk
-	// engine's block-cache counters; absent when the backing server does
-	// not expose engine introspection.
+	// Engine identifies the store engine ("mem" or "disk"); absent when
+	// the backing server does not expose engine introspection.
 	Engine *EngineStatsMsg `json:"engine,omitempty"`
 	// SharedCache carries the fleet-wide shared answer tier's aggregate
 	// counters; absent in paper mode (shared cache off).
