@@ -10,14 +10,17 @@ BENCH_BASELINE ?= BENCH_$(BENCH_LAST).json
 BENCH_JSON ?= BENCH_$(shell expr $(BENCH_LAST) + 1).json
 # Minimum statement coverage (percent) for the algorithm, server-contract,
 # pipelined-dispatcher, session, fault-injection, retrying-transport,
-# index-engine, disk-engine, dataset-factory and shared-memo packages,
-# enforced by `make cover`. Raise as the suite grows; never lower it to
-# ship.
-COVER_PKGS ?= ./internal/core ./internal/hiddendb ./internal/parallel ./internal/session ./internal/chaos ./internal/httpclient ./internal/index ./internal/diskstore ./internal/datagen ./internal/memo ./internal/loadgen
+# index-engine, disk-engine, dataset-factory, shared-memo, wire-codec,
+# journal and HTTP-server packages, enforced by `make cover`. Raise as the
+# suite grows; never lower it to ship.
+COVER_PKGS ?= ./internal/core ./internal/hiddendb ./internal/parallel ./internal/session ./internal/chaos ./internal/httpclient ./internal/index ./internal/diskstore ./internal/datagen ./internal/memo ./internal/loadgen ./internal/wire ./internal/journal ./internal/httpserver
 COVER_MIN ?= 80
 COVER_OUT ?= cover.out
+# fuzz-smoke runs every Fuzz target for FUZZ_TIME with FUZZ_WORKERS workers.
+FUZZ_TIME ?= 5s
+FUZZ_WORKERS ?= 2
 
-.PHONY: all build check test race cover bench chaos loadgen-smoke clean
+.PHONY: all build check test race cover bench chaos loadgen-smoke fuzz-smoke clean
 
 all: build check test race cover
 
@@ -54,15 +57,16 @@ cover:
 	}
 
 # bench runs the full benchmark suite — the figure/theorem harness (whose
-# custom metrics are the paper's query counts) plus the index engine's
-# microbenchmarks — and snapshots it as JSON for the perf trajectory.
+# custom metrics are the paper's query counts) plus the index engine's,
+# the disk engine's and the wire codec's microbenchmarks — and snapshots
+# it as JSON for the perf trajectory.
 # Output goes to the file first (not through tee) so a failing benchmark
 # run aborts the target instead of writing a partial snapshot. The snapshot
 # is then diffed against the previous PR's baseline: all *_queries metrics
 # (the paper's cost measure) and *_hitrate metrics (the fleet ablation's
 # deterministic cache-hit ratios) must be bit-identical.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/index ./internal/diskstore > $(BENCH_OUT) || { cat $(BENCH_OUT); exit 1; }
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/index ./internal/diskstore ./internal/wire > $(BENCH_OUT) || { cat $(BENCH_OUT); exit 1; }
 	cat $(BENCH_OUT)
 	$(GO) run ./scripts/benchjson -in $(BENCH_OUT) -out $(BENCH_JSON) -baseline $(BENCH_BASELINE)
 
@@ -86,6 +90,18 @@ loadgen-smoke: build
 	cmp loadgen-a.json loadgen-b.json
 	$(GO) run ./cmd/hidb-loadgen -check loadgen-a.json
 	rm -f loadgen-a.json loadgen-b.json
+
+# fuzz-smoke runs every Fuzz target in the module for FUZZ_TIME each — the
+# journal and disk-footer decoders, the table loader, the /crawl stream
+# decoders and the wire codec's differential targets, which check the
+# hand-written codec against encoding/json on every input they generate.
+fuzz-smoke: build
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZ_TIME) -parallel $(FUZZ_WORKERS) $$pkg; \
+		done; \
+	done
 
 clean:
 	rm -f $(BENCH_OUT) $(COVER_OUT) loadgen-a.json loadgen-b.json

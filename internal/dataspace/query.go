@@ -310,6 +310,54 @@ func (q Query) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// QueryFromKey reconstructs the query over s whose AppendKey encoding is
+// key. It rejects every key AppendKey cannot produce for s — a tag that
+// does not fit the attribute's kind, missing or stray bytes, predicates
+// outside the schema — so an accepted key re-encodes to itself.
+func QueryFromKey(s *Schema, key string) (Query, error) {
+	preds := make([]Pred, s.Dims())
+	rest := key
+	operand := func() (int64, bool) {
+		if len(rest) < 8 {
+			return 0, false
+		}
+		var v uint64
+		for i := 7; i >= 0; i-- {
+			v = v<<8 | uint64(rest[i])
+		}
+		rest = rest[8:]
+		return int64(v), true
+	}
+	for i := range preds {
+		if len(rest) == 0 {
+			return Query{}, fmt.Errorf("dataspace: key ends before attribute %d", i)
+		}
+		tag := rest[0]
+		rest = rest[1:]
+		ok := true
+		switch cat := s.Attr(i).Kind == Categorical; {
+		case cat && tag == keyWild:
+			preds[i] = Pred{Wild: true}
+		case cat && tag == keyValue:
+			preds[i].Value, ok = operand()
+		case !cat && tag == keyRange:
+			preds[i].Lo, ok = operand()
+			if ok {
+				preds[i].Hi, ok = operand()
+			}
+		default:
+			return Query{}, fmt.Errorf("dataspace: bad key tag %d for attribute %d", tag, i)
+		}
+		if !ok {
+			return Query{}, fmt.Errorf("dataspace: key truncated in attribute %d", i)
+		}
+	}
+	if len(rest) > 0 {
+		return Query{}, fmt.Errorf("dataspace: %d stray bytes after the key", len(rest))
+	}
+	return NewQuery(s, preds)
+}
+
 // String renders the query with attribute names, e.g.
 // "Make=3, Body=⋆, Price∈[0,5000]".
 func (q Query) String() string {

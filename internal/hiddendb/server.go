@@ -471,19 +471,22 @@ func MemoBatch(
 	missOf := make([]int, len(qs))
 	var missPos []int
 	var missQs []dataspace.Query
+	// seen maps a miss's binary Query.AppendKey to its forwarded index;
+	// the key is built on the stack, so only a new miss copies it.
 	seen := make(map[string]int)
+	var buf [256]byte
 	for i, q := range qs {
 		if res, ok := lookup(q); ok {
 			out[i] = res
 			missOf[i] = -1
 			continue
 		}
-		key := q.Key()
-		if j, ok := seen[key]; ok {
+		kb := q.AppendKey(buf[:0])
+		if j, ok := seen[string(kb)]; ok {
 			missOf[i] = j
 			continue
 		}
-		seen[key] = len(missQs)
+		seen[string(kb)] = len(missQs)
 		missOf[i] = len(missQs)
 		missPos = append(missPos, i)
 		missQs = append(missQs, q)

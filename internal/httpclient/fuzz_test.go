@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,6 +60,18 @@ func FuzzCrawlStream(f *testing.F) {
 		`not json at all`,
 		`[1,2,3]`,
 		"\x00\x01\x02",
+		// Several values on one line, and a pretty-printed event.
+		`{"tuple":[1,5],"queries":1}{"tuple":[2,5],"queries":2} null {"done":true,"queries":2}`,
+		"{\n  \"tuple\": [\n    3,\n    -4\n  ],\n  \"queries\": 1\n}\n{\n  \"done\": true,\n  \"queries\": 1,\n  \"engine\": {\n    \"kind\": \"mem\"\n  }\n}\n",
+		// Reordered, unknown, case-folded and escaped keys; nulls.
+		`{"queries":3,"x":[{"y":null}],"TUPLE":[1,5]}` + "\n" + `{"\u0064one":true,"Queries":3,"engine":null,"error":null}`,
+		`{"tuple":null,"queries":null}` + "\n" + `{"tuple":[1,null],"tuple":[2],"done":null}` + "\n" + `{"done":true}`,
+		// Numbers encoding/json refuses for integer fields, and -0.
+		`{"tuple":[1e2,5],"queries":1}`,
+		`{"tuple":[01,5],"queries":1}`,
+		`{"tuple":[-0,5],"queries":-0}` + "\n" + `{"done":true}`,
+		`{"tuple":[1,5],"queries":9223372036854775808}`,
+		`{"done":true,"queries":1.5}`,
 	}
 	for _, s := range seeds {
 		f.Add(s, uint8(0))
@@ -107,7 +122,74 @@ func FuzzCrawlStream(f *testing.F) {
 				t.Fatalf("emitted %d tuples from %d events", len(emitted), events)
 			}
 		}
+
+		// Differential check: the hand-written stream decoder behaves
+		// exactly as the encoding/json one it replaced, event for event.
+		var evs, refEvs []wire.CrawlEvent
+		var refEmitted []dataspace.Tuple
+		res, stopped, err = crawlStream(schema, strings.NewReader(stream), func(ev wire.CrawlEvent) { evs = append(evs, ev) }, func(tu dataspace.Tuple) bool {
+			return stopAfter == 0 || len(evs) < int(stopAfter)
+		})
+		refRes, refStopped, refErr := refCrawlStream(schema, strings.NewReader(stream), func(ev wire.CrawlEvent) { refEvs = append(refEvs, ev) }, func(tu dataspace.Tuple) bool {
+			refEmitted = append(refEmitted, tu)
+			return stopAfter == 0 || len(refEvs) < int(stopAfter)
+		})
+		if !reflect.DeepEqual(evs, refEvs) {
+			t.Fatalf("events %+v, encoding/json decoded %+v", evs, refEvs)
+		}
+		if !reflect.DeepEqual(res, refRes) || stopped != refStopped || (err == nil) != (refErr == nil) ||
+			errors.Is(err, hiddendb.ErrQuotaExceeded) != errors.Is(refErr, hiddendb.ErrQuotaExceeded) ||
+			errors.Is(err, errStreamSevered) != errors.Is(refErr, errStreamSevered) {
+			t.Fatalf("result %+v %v %v, encoding/json gave %+v %v %v", res, stopped, err, refRes, refStopped, refErr)
+		}
+		if len(emitted) > 0 && stopAfter == 0 && !reflect.DeepEqual(emitted, refEmitted) {
+			t.Fatalf("emitted %v, encoding/json emitted %v", emitted, refEmitted)
+		}
 	})
+}
+
+// refCrawlStream is crawlStream as it was over encoding/json's stream
+// decoder: the reference the hand-written one is fuzzed against.
+func refCrawlStream(schema *dataspace.Schema, r io.Reader, onEvent func(wire.CrawlEvent), emit func(dataspace.Tuple) bool) (out CrawlResult, stopped bool, err error) {
+	dec := json.NewDecoder(r)
+	tuples := 0
+	for {
+		var ev wire.CrawlEvent
+		if err := dec.Decode(&ev); err != nil {
+			if errors.Is(err, io.EOF) {
+				return out, false, fmt.Errorf("httpclient: crawl stream ended without a terminal event (truncated?): %w", errStreamSevered)
+			}
+			return out, false, fmt.Errorf("httpclient: decoding crawl stream: %w: %w", err, errStreamSevered)
+		}
+		if onEvent != nil {
+			onEvent(ev)
+		}
+		if ev.Done {
+			out.Queries = ev.Queries
+			out.Resolved = ev.Resolved
+			out.Overflowed = ev.Overflowed
+			out.Skipped = ev.Skipped
+			if ev.Error != "" {
+				if ev.QuotaExceeded {
+					return out, false, hiddendb.ErrQuotaExceeded
+				}
+				return out, false, fmt.Errorf("httpclient: server-side crawl failed: %s", ev.Error)
+			}
+			return out, false, nil
+		}
+		out.Queries = ev.Queries
+		if ev.Tuple == nil {
+			continue
+		}
+		t := dataspace.Tuple(ev.Tuple)
+		if err := t.Validate(schema); err != nil {
+			return out, false, fmt.Errorf("httpclient: crawl tuple %d: %w", tuples, err)
+		}
+		tuples++
+		if !emit(t) {
+			return out, true, nil
+		}
+	}
 }
 
 // FuzzCrawlReconnectSchedule drives the real auto-resume loop — DialRetry,

@@ -20,6 +20,12 @@
 // single round trip); CrawlSeq exposes the same stream as a Go iterator,
 // and the skip cursor lets a reconnecting client resume a broken stream
 // without re-receiving tuples it already holds.
+//
+// Bodies go through the wire package's hand-written codec: a /query or
+// /batch response is read whole and decoded in one pass, the tuples of one
+// result page sharing one exactly sized backing array (each tuple's
+// capacity capped at its length), and the /crawl stream is decoded value
+// by value as it arrives.
 package httpclient
 
 import (
@@ -156,11 +162,7 @@ func ctxErr(ctx context.Context, err error) error {
 
 // Answer implements hiddendb.Server with one POST /query round-trip.
 func (c *Client) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	body, err := json.Marshal(wire.EncodeQuery(q))
-	if err != nil {
-		return hiddendb.Result{}, fmt.Errorf("httpclient: encoding query: %w", err)
-	}
-	resp, err := c.doRetry(ctx, "query", http.MethodPost, "/query", body)
+	resp, err := c.doRetry(ctx, "query", http.MethodPost, "/query", wire.AppendQuery(nil, q))
 	if err != nil {
 		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: query round-trip: %w", err))
 	}
@@ -173,11 +175,14 @@ func (c *Client) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return hiddendb.Result{}, fmt.Errorf("httpclient: query returned %s: %s", resp.Status, snippet)
 	}
-	var msg wire.ResultMsg
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&msg); err != nil {
-		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: decoding result: %w", err))
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	readErr := readBody(resp.Body, 64<<20, buf)
+	res, err := wire.ParseResult(c.schema, *buf)
+	if err != nil {
+		return hiddendb.Result{}, ctxErr(ctx, decodeErr("result", readErr, err))
 	}
-	return wire.DecodeResult(c.schema, msg)
+	return res, nil
 }
 
 // AnswerBatch implements hiddendb.Server with one POST /batch round-trip.
@@ -194,11 +199,7 @@ func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidde
 	if c.legacyBatch.Load() {
 		return c.answerSequentially(ctx, qs)
 	}
-	body, err := json.Marshal(wire.EncodeBatchRequest(qs))
-	if err != nil {
-		return nil, fmt.Errorf("httpclient: encoding batch: %w", err)
-	}
-	resp, err := c.doRetry(ctx, "batch", http.MethodPost, "/batch", body)
+	resp, err := c.doRetry(ctx, "batch", http.MethodPost, "/batch", wire.AppendBatchRequest(nil, qs))
 	if err != nil {
 		return nil, ctxErr(ctx, fmt.Errorf("httpclient: batch round-trip: %w", err))
 	}
@@ -216,18 +217,17 @@ func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidde
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("httpclient: batch returned %s: %s", resp.Status, snippet)
 	}
-	var msg wire.BatchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&msg); err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("httpclient: decoding batch result: %w", err))
-	}
-	results, quotaExceeded, err := wire.DecodeBatchResponse(c.schema, msg)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	readErr := readBody(resp.Body, 256<<20, buf)
+	results, quotaExceeded, serverErr, err := wire.ParseBatchResponse(c.schema, *buf)
 	if err != nil {
-		return nil, err
+		return nil, ctxErr(ctx, decodeErr("batch result", readErr, err))
 	}
-	if msg.Error != "" {
+	if serverErr != "" {
 		// A mid-batch server failure: the prefix was answered and paid
 		// for — deliver it with the error, per the Server contract.
-		return results, fmt.Errorf("httpclient: server failed mid-batch: %s", msg.Error)
+		return results, fmt.Errorf("httpclient: server failed mid-batch: %s", serverErr)
 	}
 	if quotaExceeded {
 		return results, hiddendb.ErrQuotaExceeded
@@ -236,6 +236,25 @@ func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidde
 		return nil, fmt.Errorf("httpclient: batch answered %d of %d queries with no quota signal", len(results), len(qs))
 	}
 	return results, nil
+}
+
+// readBody reads a response body whole, at most limit bytes, into *buf and
+// returns the read error. It matters only when the body does not parse:
+// like json.Decoder, the codec accepts a complete message whatever follows.
+func readBody(body io.Reader, limit int64, buf *[]byte) error {
+	var err error
+	*buf, err = wire.ReadAll((*buf)[:0], io.LimitReader(body, limit))
+	return err
+}
+
+// decodeErr reports a response body the codec rejected, blaming the read
+// error behind a truncated body.
+func decodeErr(what string, readErr, err error) error {
+	var je *wire.JSONError
+	if readErr != nil && errors.As(err, &je) {
+		err = readErr
+	}
+	return fmt.Errorf("httpclient: decoding %s: %w", what, err)
 }
 
 func (c *Client) answerSequentially(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
@@ -276,11 +295,11 @@ type CrawlResult struct {
 // CrawlResult carries the terminal line's counters — or, on a truncated or
 // malformed stream, whatever the last event reported, alongside the error.
 func crawlStream(schema *dataspace.Schema, r io.Reader, onEvent func(wire.CrawlEvent), emit func(dataspace.Tuple) bool) (out CrawlResult, stopped bool, err error) {
-	dec := json.NewDecoder(r)
+	cr := wire.NewCrawlReader(r)
 	tuples := 0
+	var ev wire.CrawlEvent
 	for {
-		var ev wire.CrawlEvent
-		if err := dec.Decode(&ev); err != nil {
+		if err := cr.Next(&ev); err != nil {
 			if errors.Is(err, io.EOF) {
 				return out, false, fmt.Errorf("httpclient: crawl stream ended without a terminal event (truncated?): %w", errStreamSevered)
 			}

@@ -27,6 +27,15 @@ func postBatch(t *testing.T, url string, msg wire.BatchRequest) *http.Response {
 	return resp
 }
 
+// encodeBatch is the BatchRequest a client sends for qs.
+func encodeBatch(qs []dataspace.Query) wire.BatchRequest {
+	msg := wire.BatchRequest{Queries: make([]wire.QueryMsg, len(qs))}
+	for i, q := range qs {
+		msg.Queries[i] = wire.EncodeQuery(q)
+	}
+	return msg
+}
+
 func decodeBatch(t *testing.T, resp *http.Response) wire.BatchResponse {
 	t.Helper()
 	defer resp.Body.Close()
@@ -77,7 +86,7 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	requestsBefore, queriesBefore := h.Requests(), h.Queries()
 
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs))
+	resp := postBatch(t, ts.URL, encodeBatch(qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s", resp.Status)
 	}
@@ -172,7 +181,7 @@ func TestBatchQuotaMidBatch(t *testing.T) {
 	defer ts.Close()
 
 	qs := testBatch(ds.Schema, 8, 53)
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs))
+	resp := postBatch(t, ts.URL, encodeBatch(qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first batch: %s", resp.Status)
 	}
@@ -188,7 +197,7 @@ func TestBatchQuotaMidBatch(t *testing.T) {
 	}
 
 	// Budget spent: the next batch is rejected outright.
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:2]))
+	resp = postBatch(t, ts.URL, encodeBatch(qs[:2]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget batch: %s, want 429", resp.Status)
@@ -261,7 +270,7 @@ func TestBatchExactBudget(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	qs := testBatch(ds.Schema, 4, 55)
-	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs)))
+	msg := decodeBatch(t, postBatch(t, ts.URL, encodeBatch(qs)))
 	if msg.QuotaExceeded {
 		t.Error("exact-budget batch flagged quotaExceeded")
 	}

@@ -76,6 +76,13 @@
 // On a mid-batch server failure the already-answered prefix — which the
 // wrapped server has paid for — is delivered with the error in
 // wire.BatchResponse.Error rather than discarded.
+//
+// # Codec
+//
+// The /query and /batch bodies and the /crawl progress lines go through
+// the wire package's hand-written codec: a request body is read whole and
+// parsed in one pass, and a response is encoded into a pooled buffer and
+// sent in one write, byte-identical to what encoding/json produced.
 package httpserver
 
 import (
@@ -420,15 +427,12 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var msg wire.QueryMsg
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&msg); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	q, err := wire.DecodeQuery(h.srv.Schema(), msg)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	readErr := readBody(w, r, 1<<20, buf)
+	q, err := wire.ParseQuery(h.srv.Schema(), *buf)
 	if err != nil {
-		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
+		badBody(w, "bad query", readErr, err)
 		return
 	}
 
@@ -445,7 +449,8 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
 		default:
-			writeJSON(w, wire.EncodeResult(res))
+			*buf = wire.AppendResult((*buf)[:0], res)
+			writeBody(w, *buf)
 		}
 		return
 	}
@@ -475,7 +480,8 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, wire.EncodeResult(res))
+	*buf = wire.AppendResult((*buf)[:0], res)
+	writeBody(w, *buf)
 }
 
 // handleBatch answers B form queries in one round trip, with exactly the
@@ -489,15 +495,12 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var msg wire.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&msg); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	qs, err := wire.DecodeBatchRequest(h.srv.Schema(), msg)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	readErr := readBody(w, r, 16<<20, buf)
+	qs, token, err := wire.ParseBatchRequest(h.srv.Schema(), *buf)
 	if err != nil {
-		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
+		badBody(w, "bad batch", readErr, err)
 		return
 	}
 	if len(qs) == 0 {
@@ -508,12 +511,12 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	if h.table != nil {
 		h.noteRequest()
-		sess, ok := h.resolveSession(w, r, msg.Token)
+		sess, ok := h.resolveSession(w, r, token)
 		if !ok {
 			return
 		}
 		res, err := sess.Server().AnswerBatch(r.Context(), qs)
-		h.writeBatch(w, qs, res, err)
+		h.writeBatch(w, buf, res, err)
 		return
 	}
 
@@ -544,27 +547,29 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		h.queries -= n
 		h.mu.Unlock()
 	}
-	if err != nil && !errors.Is(err, hiddendb.ErrQuotaExceeded) {
-		if len(res) == 0 {
-			// Nothing was served: a plain 500 keeps old clients working.
-			http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
+	quotaHit := admitted < len(qs)
+	errMsg := ""
+	switch {
+	case err == nil:
+	case errors.Is(err, hiddendb.ErrQuotaExceeded):
+		quotaHit = true
+	case len(res) == 0:
+		// Nothing was served: a plain 500 keeps old clients working.
+		http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
+		return
+	default:
 		// Deliver the paid prefix with the error signal instead of
 		// discarding responses the inner server already paid for.
-		out := wire.EncodeBatchResponse(res, admitted < len(qs))
-		out.Error = err.Error()
-		writeJSON(w, out)
-		return
+		errMsg = err.Error()
 	}
-	quotaHit := admitted < len(qs) || errors.Is(err, hiddendb.ErrQuotaExceeded)
-	writeJSON(w, wire.EncodeBatchResponse(res, quotaHit))
+	*buf = wire.AppendBatchResponse((*buf)[:0], res, quotaHit, errMsg)
+	writeBody(w, *buf)
 }
 
-// writeBatch encodes a session-mode batch outcome: the answered prefix
-// plus the quota flag or error signal, with the contract's 429 for a batch
-// that could not start at all.
-func (h *Handler) writeBatch(w http.ResponseWriter, qs []dataspace.Query, res []hiddendb.Result, err error) {
+// writeBatch encodes a session-mode batch outcome into buf and sends it:
+// the answered prefix plus the quota flag or error signal, with the
+// contract's 429 for a batch that could not start at all.
+func (h *Handler) writeBatch(w http.ResponseWriter, buf *[]byte, res []hiddendb.Result, err error) {
 	quotaHit := errors.Is(err, hiddendb.ErrQuotaExceeded)
 	if err != nil && len(res) == 0 {
 		if quotaHit {
@@ -574,11 +579,42 @@ func (h *Handler) writeBatch(w http.ResponseWriter, qs []dataspace.Query, res []
 		}
 		return
 	}
-	out := wire.EncodeBatchResponse(res, quotaHit)
+	errMsg := ""
 	if err != nil && !quotaHit {
-		out.Error = err.Error()
+		errMsg = err.Error()
 	}
-	writeJSON(w, out)
+	*buf = wire.AppendBatchResponse((*buf)[:0], res, quotaHit, errMsg)
+	writeBody(w, *buf)
+}
+
+// readBody reads a request body whole, at most limit bytes, into *buf and
+// returns the read error. It matters only when the body does not parse:
+// like json.Decoder, the codec accepts a complete message whatever follows.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf *[]byte) error {
+	var err error
+	*buf, err = wire.ReadAll((*buf)[:0], http.MaxBytesReader(w, r.Body, limit))
+	return err
+}
+
+// badBody answers 400 to a body the codec rejected: "bad request" when it
+// is not the JSON of the endpoint's message (reporting the read error
+// behind a truncated body), what ("bad query", "bad batch") when the
+// message itself is invalid for the schema.
+func badBody(w http.ResponseWriter, what string, readErr, err error) {
+	var je *wire.JSONError
+	if errors.As(err, &je) {
+		if readErr != nil {
+			err = readErr
+		}
+		what = "bad request"
+	}
+	http.Error(w, what+": "+err.Error(), http.StatusBadRequest)
+}
+
+// writeBody sends an encoded JSON response in a single write.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // handleCrawl runs a crawling algorithm server-side against the caller's
@@ -663,7 +699,8 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	line := wire.GetBuffer()
+	defer wire.PutBuffer(line)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		bw.Flush()
@@ -687,7 +724,8 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 					toSkip--
 					continue
 				}
-				enc.Encode(wire.CrawlEvent{Tuple: t, Queries: n})
+				*line = wire.AppendCrawlTuple((*line)[:0], t, n)
+				bw.Write(*line)
 				tuplesSent++
 			}
 		},
@@ -709,7 +747,7 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 		final.Error = err.Error()
 		final.QuotaExceeded = errors.Is(err, hiddendb.ErrQuotaExceeded)
 	}
-	enc.Encode(final)
+	json.NewEncoder(bw).Encode(final)
 	flush()
 }
 

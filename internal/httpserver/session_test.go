@@ -273,7 +273,7 @@ func TestBodyTokenFallback(t *testing.T) {
 	defer ts.Close()
 
 	qs := distinctBatch(ds.Schema, 2)
-	msg := wire.EncodeBatchRequest(qs)
+	msg := encodeBatch(qs)
 	msg.Token = "body-tok"
 	resp := postBatch(t, ts.URL, msg)
 	decodeBatch(t, resp) // closes body
@@ -392,7 +392,7 @@ func TestBatchFailureDeliversPrefix(t *testing.T) {
 	defer ts.Close()
 
 	qs := distinctBatch(ds.Schema, 5)
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs))
+	resp := postBatch(t, ts.URL, encodeBatch(qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mid-batch failure: %s, want 200 with the paid prefix", resp.Status)
 	}
@@ -532,7 +532,7 @@ func TestQuotaSpansEndpoints(t *testing.T) {
 		}
 	}
 	// ...so a 4-query batch only affords 3.
-	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs)))
+	msg := decodeBatch(t, postBatch(t, ts.URL, encodeBatch(qs)))
 	if !msg.QuotaExceeded || len(msg.Results) != 3 {
 		t.Fatalf("batch after singles: %d results, flag=%v; want 3 + flag", len(msg.Results), msg.QuotaExceeded)
 	}
@@ -545,7 +545,7 @@ func TestQuotaSpansEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget single: %s, want 429", resp.Status)
 	}
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:1]))
+	resp = postBatch(t, ts.URL, encodeBatch(qs[:1]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget batch: %s, want 429", resp.Status)

@@ -12,6 +12,7 @@ import (
 
 	"hidb/internal/core"
 	"hidb/internal/datagen"
+	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 	"hidb/internal/wire"
 )
@@ -27,7 +28,7 @@ func writeLegacy(t *testing.T, j *Journal) []byte {
 		t.Fatal(err)
 	}
 	for _, key := range j.order {
-		q, err := queryFromKey(j.schema, key)
+		q, err := dataspace.QueryFromKey(j.schema, key)
 		if err != nil {
 			t.Fatal(err)
 		}

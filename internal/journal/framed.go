@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"hidb/internal/dataspace"
 	"hidb/internal/wire"
 )
 
@@ -147,7 +148,7 @@ func (j *Journal) writeToV2(w io.Writer) (int64, error) {
 	}
 	for _, key := range j.order {
 		res := j.entries[key]
-		q, err := queryFromKey(j.schema, key)
+		q, err := dataspace.QueryFromKey(j.schema, key)
 		if err != nil {
 			return cw.n, err
 		}

@@ -4,42 +4,38 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 )
 
-// FuzzQueryFromKey checks that arbitrary key strings either parse into a
-// query whose canonical key round-trips exactly, or are rejected — never
-// panic, never mis-parse.
+// FuzzQueryFromKey checks the journal's key decoder,
+// dataspace.QueryFromKey: arbitrary key strings either parse into a query
+// whose binary Query.AppendKey encoding is the key itself, or are rejected
+// — never panic, never mis-parse. The encoding is fixed-width, so every
+// accepted key is canonical.
 func FuzzQueryFromKey(f *testing.F) {
 	schema := dataspace.MustSchema([]dataspace.Attribute{
 		{Name: "C", Kind: dataspace.Categorical, DomainSize: 9},
 		{Name: "N", Kind: dataspace.Numeric},
 	})
-	f.Add("*|0:5")
-	f.Add("3|-10:10")
-	f.Add("*|:")
-	f.Add("||")
+	u := dataspace.UniverseQuery(schema)
+	for _, q := range []dataspace.Query{u, u.WithValue(0, 3).WithRange(1, -10, 10), u.WithValue(0, 9).WithRange(1, 0, 5)} {
+		f.Add(string(q.AppendKey(nil)))
+	}
 	f.Add("")
-	f.Add("9|-9223372036854775807:9223372036854775806")
+	f.Add("\x00\x02")                                      // truncated range operands
+	f.Add("\x01\x0a" + strings.Repeat("\x00", 7) + "\x02") // value outside the domain, then truncated
+	f.Add("\x02" + strings.Repeat("\x00", 16) + "\x00")    // tags in the wrong order
 	f.Fuzz(func(t *testing.T, key string) {
-		q, err := queryFromKey(schema, key)
+		q, err := dataspace.QueryFromKey(schema, key)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		// Accepted inputs may be non-canonical (leading zeros), but the
-		// canonical form must be a fixpoint: parse(key).Key() parses back
-		// to the same query. Journal lookups only ever see canonical keys
-		// produced by Query.Key, so this is the property that matters.
-		canon := q.Key()
-		q2, err := queryFromKey(schema, canon)
-		if err != nil {
-			t.Fatalf("canonical key %q (from %q) rejected: %v", canon, key, err)
-		}
-		if q2.Key() != canon {
-			t.Fatalf("canonicalization not idempotent: %q -> %q", canon, q2.Key())
+		if canon := string(q.AppendKey(nil)); canon != key {
+			t.Fatalf("key %q parsed to %v, which keys as %q", key, q, canon)
 		}
 	})
 }
@@ -142,12 +138,12 @@ func FuzzReadFrom(f *testing.F) {
 		// Whatever was recovered must be well-formed: canonical keys and a
 		// lossless re-serialization.
 		for _, key := range got.order {
-			q, err := queryFromKey(got.schema, key)
+			q, err := dataspace.QueryFromKey(got.schema, key)
 			if err != nil {
 				t.Fatalf("recovered key %q does not parse: %v", key, err)
 			}
-			if q.Key() != key {
-				t.Fatalf("recovered key %q is not canonical (re-keys to %q)", key, q.Key())
+			if canon := string(q.AppendKey(nil)); canon != key {
+				t.Fatalf("recovered key %q is not canonical (re-keys to %q)", key, canon)
 			}
 		}
 		var out bytes.Buffer
@@ -160,35 +156,6 @@ func FuzzReadFrom(f *testing.F) {
 		}
 		if back.Len() != got.Len() {
 			t.Fatalf("re-serialization lost entries: %d of %d", back.Len(), got.Len())
-		}
-	})
-}
-
-// FuzzParseInt checks the journal's integer parser against the accepted
-// grammar: on success the value re-formats to a canonical decimal.
-func FuzzParseInt(f *testing.F) {
-	f.Add("0")
-	f.Add("-17")
-	f.Add("9223372036854775806")
-	f.Add("--3")
-	f.Add("1x")
-	f.Fuzz(func(t *testing.T, s string) {
-		v, err := parseInt(s)
-		if err != nil {
-			return
-		}
-		// Accepted strings must contain only an optional sign and digits.
-		body := s
-		if len(body) > 0 && body[0] == '-' {
-			body = body[1:]
-		}
-		if len(body) == 0 {
-			t.Fatalf("parseInt(%q) accepted an empty body as %d", s, v)
-		}
-		for _, c := range []byte(body) {
-			if c < '0' || c > '9' {
-				t.Fatalf("parseInt(%q) accepted a non-digit, got %d", s, v)
-			}
 		}
 	})
 }

@@ -31,14 +31,23 @@ import (
 
 // Journal is a replayable log of server responses, keyed by canonical
 // query. Safe for concurrent use, so it composes with the parallel crawler.
+//
+// Entries are keyed by the query's binary Query.AppendKey encoding. Lookup
+// builds the key in a stack buffer and probes the map with string(kb),
+// which the compiler does not allocate for, so a replay allocates nothing;
+// only Record copies a new key to the heap.
 type Journal struct {
 	schema *dataspace.Schema
 	k      int
 
 	mu      sync.RWMutex
 	entries map[string]hiddendb.Result
-	order   []string // insertion order, for deterministic serialization
+	order   []string // the entries' keys in insertion order, for deterministic serialization
 }
+
+// keyBufLen sizes the stack buffer query keys are built in: 15 numeric
+// attributes' worth, beyond which AppendKey spills to the heap.
+const keyBufLen = 256
 
 // New creates an empty journal for a server with the given schema and
 // return limit.
@@ -65,21 +74,25 @@ func (j *Journal) Len() int {
 
 // Lookup returns the recorded response for q, if any.
 func (j *Journal) Lookup(q dataspace.Query) (hiddendb.Result, bool) {
+	var buf [keyBufLen]byte
+	kb := q.AppendKey(buf[:0])
 	j.mu.RLock()
-	defer j.mu.RUnlock()
-	res, ok := j.entries[q.Key()]
+	res, ok := j.entries[string(kb)]
+	j.mu.RUnlock()
 	return res, ok
 }
 
 // Record stores the response for q. Recording the same query twice is a
 // no-op (responses are stable by the problem setup).
 func (j *Journal) Record(q dataspace.Query, res hiddendb.Result) {
-	key := q.Key()
+	var buf [keyBufLen]byte
+	kb := q.AppendKey(buf[:0])
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.entries[key]; ok {
+	if _, ok := j.entries[string(kb)]; ok {
 		return
 	}
+	key := string(kb)
 	j.entries[key] = res
 	j.order = append(j.order, key)
 }
@@ -158,80 +171,6 @@ func readFromLegacy(r io.Reader) (*Journal, error) {
 	return j, nil
 }
 
-// queryFromKey reconstructs a query from its canonical key. The key format
-// is produced by dataspace.Query.Key; round-tripping through it keeps the
-// journal independent of map iteration order.
-func queryFromKey(s *dataspace.Schema, key string) (dataspace.Query, error) {
-	preds := make([]dataspace.Pred, s.Dims())
-	rest := key
-	for i := 0; i < s.Dims(); i++ {
-		var field string
-		if idx := indexByte(rest, '|'); idx >= 0 {
-			field, rest = rest[:idx], rest[idx+1:]
-		} else {
-			field, rest = rest, ""
-		}
-		if s.Attr(i).Kind == dataspace.Categorical {
-			if field == "*" {
-				preds[i] = dataspace.Pred{Wild: true}
-			} else {
-				v, err := parseInt(field)
-				if err != nil {
-					return dataspace.Query{}, fmt.Errorf("journal: bad key field %q: %w", field, err)
-				}
-				preds[i] = dataspace.Pred{Value: v}
-			}
-		} else {
-			idx := indexByte(field, ':')
-			if idx < 0 {
-				return dataspace.Query{}, fmt.Errorf("journal: bad numeric key field %q", field)
-			}
-			lo, err := parseInt(field[:idx])
-			if err != nil {
-				return dataspace.Query{}, err
-			}
-			hi, err := parseInt(field[idx+1:])
-			if err != nil {
-				return dataspace.Query{}, err
-			}
-			preds[i] = dataspace.Pred{Lo: lo, Hi: hi}
-		}
-	}
-	return dataspace.NewQuery(s, preds)
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-func parseInt(s string) (int64, error) {
-	var v int64
-	neg := false
-	if len(s) > 0 && s[0] == '-' {
-		neg = true
-		s = s[1:]
-	}
-	if len(s) == 0 {
-		return 0, fmt.Errorf("empty integer")
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad digit %q", c)
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -252,7 +191,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	replays  int
-	inflight map[string]chan struct{}
+	inflight map[string]chan struct{} // keyed like Journal.entries
 }
 
 // Wrap builds the journaling view. The journal's schema and k must match
@@ -276,7 +215,8 @@ func Wrap(inner hiddendb.Server, j *Journal) (*Server, error) {
 // crawl is still winding down server-side could race it to the same
 // journal miss and be charged twice for one logical query.
 func (s *Server) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	key := q.Key()
+	var buf [keyBufLen]byte
+	kb := q.AppendKey(buf[:0])
 	for {
 		if res, ok := s.journal.Lookup(q); ok {
 			s.mu.Lock()
@@ -285,7 +225,7 @@ func (s *Server) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result
 			return res, nil
 		}
 		s.mu.Lock()
-		if done, ok := s.inflight[key]; ok {
+		if done, ok := s.inflight[string(kb)]; ok {
 			// Another caller is paying for this query right now; wait for
 			// its verdict and re-check the journal.
 			s.mu.Unlock()
@@ -297,7 +237,7 @@ func (s *Server) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result
 			}
 		}
 		done := make(chan struct{})
-		s.inflight[key] = done
+		s.inflight[string(kb)] = done
 		s.mu.Unlock()
 
 		res, err := s.inner.Answer(ctx, q)
@@ -305,7 +245,7 @@ func (s *Server) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result
 			s.journal.Record(q, res)
 		}
 		s.mu.Lock()
-		delete(s.inflight, key)
+		delete(s.inflight, string(kb))
 		s.mu.Unlock()
 		close(done)
 		return res, err

@@ -52,6 +52,25 @@ func TestRecordLookup(t *testing.T) {
 	}
 }
 
+// TestLookupHitAllocs: a replay builds the query's key on the stack and
+// probes the map without copying it, so a journal hit allocates nothing —
+// on the adult schema too, whose keys are 174 bytes.
+func TestLookupHitAllocs(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{testDataset(t), datagen.AdultLikeN(100, 1)} {
+		j := New(ds.Schema, 16)
+		q := dataspace.UniverseQuery(ds.Schema).WithValue(0, 2)
+		j.Record(q, hiddendb.Result{Tuples: ds.Tuples[:2]})
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := j.Lookup(q); !ok {
+				t.Fatal("recorded query missed")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a journal hit allocates %.1f times, want 0", ds.Name, allocs)
+		}
+	}
+}
+
 func TestSerializationRoundTrip(t *testing.T) {
 	ds := testDataset(t)
 	srv, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, 16, 42)
@@ -88,7 +107,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	// Every original entry must replay identically.
 	for _, key := range j.order {
-		q, err := queryFromKey(ds.Schema, key)
+		q, err := dataspace.QueryFromKey(ds.Schema, key)
 		if err != nil {
 			t.Fatalf("key %q: %v", key, err)
 		}

@@ -2,8 +2,16 @@ package loadgen
 
 import (
 	"bytes"
+	"net"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"hidb/internal/datagen"
+	"hidb/internal/hiddendb"
+	"hidb/internal/httpserver"
+	"hidb/internal/session"
 )
 
 // testConfig is a run small enough for CI yet busy enough to exercise
@@ -125,6 +133,53 @@ func TestSocketSelfServe(t *testing.T) {
 	}
 	if err := Validate(art); err != nil {
 		t.Errorf("socket artifact invalid: %v", err)
+	}
+}
+
+// countingListener counts the connections a server accepts.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// TestSocketReusesConnections: socket mode keeps one connection per
+// session alive across ops, so a server sees at most one connection per
+// session plus one per deliberate mid-stream hang-up (the hang-up closes
+// its connection).
+func TestSocketReusesConnections(t *testing.T) {
+	cfg := Config{Sessions: 8, Ops: 12, Seed: 5, N: 300, Think: time.Millisecond}.withDefaults()
+	ds, err := datagen.ByName(cfg.Dataset, cfg.N, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, max(cfg.K, ds.Tuples.MaxMultiplicity()), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := httpserver.New(local, httpserver.WithSessions(session.Config{MaxSessions: cfg.Sessions}), httpserver.WithShedding(0))
+	ts := httptest.NewUnstartedServer(h)
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+
+	rep, err := RunSocket(cfg, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("socket run reported %d errors", rep.Errors)
+	}
+	if got, limit := ln.accepts.Load(), int64(cfg.Sessions+rep.Aborted); got > limit {
+		t.Errorf("server accepted %d connections for %d sessions and %d hang-ups", got, cfg.Sessions, rep.Aborted)
 	}
 }
 

@@ -60,23 +60,32 @@ func RunSocket(cfg Config, baseURL string) (*Report, error) {
 		baseURL = "http://" + ln.Addr().String()
 		schema = ds.Schema
 		shutdown = func() { hs.Close() }
-	} else {
-		var err error
-		schema, err = fetchSchema(baseURL)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if shutdown != nil {
 		defer shutdown()
 	}
+	// One idle connection per session: with http.DefaultTransport's two
+	// per host, concurrent sessions would dial and close a connection on
+	// most requests, and the run would measure connection churn.
+	tp := http.DefaultTransport.(*http.Transport).Clone()
+	tp.MaxIdleConns = cfg.Sessions
+	tp.MaxIdleConnsPerHost = cfg.Sessions
+	defer tp.CloseIdleConnections()
+	hc := &http.Client{Transport: tp}
+	if schema == nil {
+		var err error
+		schema, err = fetchSchema(hc, baseURL)
+		if err != nil {
+			return nil, err
+		}
+	}
 
-	be := &sockBackend{base: baseURL, client: &http.Client{}}
+	be := &sockBackend{base: baseURL, client: hc}
 	d := newDriver(cfg, schema, be)
 	for _, c := range d.clients {
 		d.warmup(c)
 	}
-	paid0, _ := fetchQueries(baseURL)
+	paid0, _ := fetchQueries(hc, baseURL)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, c := range d.clients {
@@ -88,7 +97,7 @@ func RunSocket(cfg Config, baseURL string) (*Report, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	paid1, err := fetchQueries(baseURL)
+	paid1, err := fetchQueries(hc, baseURL)
 	if err != nil {
 		paid1 = paid0 // keep the report usable; Errors already counts transport trouble
 	}
@@ -96,12 +105,12 @@ func RunSocket(cfg Config, baseURL string) (*Report, error) {
 }
 
 // fetchSchema learns an external server's data space from GET /schema.
-func fetchSchema(baseURL string) (*dataspace.Schema, error) {
-	resp, err := http.Get(baseURL + "/schema")
+func fetchSchema(hc *http.Client, baseURL string) (*dataspace.Schema, error) {
+	resp, err := hc.Get(baseURL + "/schema")
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: fetch schema: %w", err)
 	}
-	defer resp.Body.Close()
+	defer drain(resp.Body)
 	var msg wire.SchemaMsg
 	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
 		return nil, fmt.Errorf("loadgen: decode schema: %w", err)
@@ -111,17 +120,24 @@ func fetchSchema(baseURL string) (*dataspace.Schema, error) {
 }
 
 // fetchQueries reads the server's paid-query total from GET /stats.
-func fetchQueries(baseURL string) (int, error) {
-	resp, err := http.Get(baseURL + "/stats")
+func fetchQueries(hc *http.Client, baseURL string) (int, error) {
+	resp, err := hc.Get(baseURL + "/stats")
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
+	defer drain(resp.Body)
 	var msg wire.StatsMsg
 	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
 		return 0, err
 	}
 	return msg.Queries, nil
+}
+
+// drain reads a response body to its end before closing it, so the
+// connection goes back to the idle pool.
+func drain(body io.ReadCloser) {
+	io.Copy(io.Discard, body)
+	body.Close()
 }
 
 // sockBackend serves ops over a real HTTP connection.

@@ -4,6 +4,12 @@
 // responses. The format is deliberately explicit — categorical predicates
 // are a value or a wildcard, numeric predicates an inclusive range with
 // null standing for ±infinity — so third-party clients can speak it.
+//
+// The message structs below are the schema of record. The query-carrying
+// messages — the /query and /batch bodies and the /crawl progress lines —
+// are encoded and decoded by hand (codec.go), byte-identical to what
+// encoding/json produces and accepts for these structs; everything else
+// goes through encoding/json.
 package wire
 
 import (
@@ -77,53 +83,6 @@ type BatchResponse struct {
 	Results       []ResultMsg `json:"results"`
 	QuotaExceeded bool        `json:"quotaExceeded,omitempty"`
 	Error         string      `json:"error,omitempty"`
-}
-
-// EncodeBatchRequest converts a query batch to the wire form.
-func EncodeBatchRequest(qs []dataspace.Query) BatchRequest {
-	msg := BatchRequest{Queries: make([]QueryMsg, len(qs))}
-	for i, q := range qs {
-		msg.Queries[i] = EncodeQuery(q)
-	}
-	return msg
-}
-
-// DecodeBatchRequest converts the wire form to queries over the schema. A
-// single malformed query fails the whole batch — no prefix is answered.
-func DecodeBatchRequest(s *dataspace.Schema, msg BatchRequest) ([]dataspace.Query, error) {
-	qs := make([]dataspace.Query, len(msg.Queries))
-	for i, qm := range msg.Queries {
-		q, err := DecodeQuery(s, qm)
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch query %d: %w", i, err)
-		}
-		qs[i] = q
-	}
-	return qs, nil
-}
-
-// EncodeBatchResponse converts the answered prefix of a batch to the wire
-// form. quotaExceeded marks a batch cut short by the server's budget.
-func EncodeBatchResponse(rs []hiddendb.Result, quotaExceeded bool) BatchResponse {
-	msg := BatchResponse{Results: make([]ResultMsg, len(rs)), QuotaExceeded: quotaExceeded}
-	for i, r := range rs {
-		msg.Results[i] = EncodeResult(r)
-	}
-	return msg
-}
-
-// DecodeBatchResponse converts the wire form back to server responses,
-// validating every tuple against the schema.
-func DecodeBatchResponse(s *dataspace.Schema, msg BatchResponse) (results []hiddendb.Result, quotaExceeded bool, err error) {
-	results = make([]hiddendb.Result, len(msg.Results))
-	for i, rm := range msg.Results {
-		r, err := DecodeResult(s, rm)
-		if err != nil {
-			return nil, false, fmt.Errorf("wire: batch result %d: %w", i, err)
-		}
-		results[i] = r
-	}
-	return results, msg.QuotaExceeded, nil
 }
 
 // EncodeSchema converts a schema and return limit to the wire form.
@@ -210,32 +169,22 @@ func EncodeQuery(q dataspace.Query) QueryMsg {
 
 // DecodeQuery converts the wire form to a query over the given schema.
 func DecodeQuery(s *dataspace.Schema, msg QueryMsg) (dataspace.Query, error) {
-	if len(msg.Preds) != s.Dims() {
-		return dataspace.Query{}, fmt.Errorf("wire: query has %d predicates, schema has %d attributes", len(msg.Preds), s.Dims())
-	}
-	preds := make([]dataspace.Pred, s.Dims())
+	states := make([]predState, len(msg.Preds))
 	for i, wp := range msg.Preds {
-		if s.Attr(i).Kind == dataspace.Categorical {
-			switch {
-			case wp.Wild && wp.Value == nil:
-				preds[i] = dataspace.Pred{Wild: true}
-			case !wp.Wild && wp.Value != nil:
-				preds[i] = dataspace.Pred{Value: *wp.Value}
-			default:
-				return dataspace.Query{}, fmt.Errorf("wire: categorical predicate %d must set exactly one of wild/value", i)
-			}
-		} else {
-			lo, hi := dataspace.NegInf, dataspace.PosInf
-			if wp.Lo != nil {
-				lo = *wp.Lo
-			}
-			if wp.Hi != nil {
-				hi = *wp.Hi
-			}
-			preds[i] = dataspace.Pred{Lo: lo, Hi: hi}
-		}
+		states[i] = predState{wild: wp.Wild, value: optOf(wp.Value), lo: optOf(wp.Lo), hi: optOf(wp.Hi)}
+	}
+	preds, err := decodePreds(s, states, nil)
+	if err != nil {
+		return dataspace.Query{}, err
 	}
 	return dataspace.NewQuery(s, preds)
+}
+
+func optOf(p *int64) optInt {
+	if p == nil {
+		return optInt{}
+	}
+	return optInt{set: true, v: *p}
 }
 
 // EncodeResult converts a server response to the wire form.

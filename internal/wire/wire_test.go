@@ -9,7 +9,7 @@ import (
 	"hidb/internal/hiddendb"
 )
 
-func testSchema(t *testing.T) *dataspace.Schema {
+func testSchema(t testing.TB) *dataspace.Schema {
 	t.Helper()
 	return dataspace.MustSchema([]dataspace.Attribute{
 		{Name: "Make", Kind: dataspace.Categorical, DomainSize: 85},
