@@ -16,9 +16,6 @@ BENCH_JSON ?= BENCH_$(shell expr $(BENCH_LAST) + 1).json
 COVER_PKGS ?= ./internal/core ./internal/hiddendb ./internal/parallel ./internal/session ./internal/chaos ./internal/httpclient ./internal/index ./internal/diskstore ./internal/datagen ./internal/memo ./internal/loadgen ./internal/wire ./internal/journal ./internal/httpserver
 COVER_MIN ?= 80
 COVER_OUT ?= cover.out
-# fuzz-smoke runs every Fuzz target for FUZZ_TIME with FUZZ_WORKERS workers.
-FUZZ_TIME ?= 5s
-FUZZ_WORKERS ?= 2
 
 .PHONY: all build check test race cover bench chaos loadgen-smoke fuzz-smoke clean
 
@@ -91,15 +88,16 @@ loadgen-smoke: build
 	$(GO) run ./cmd/hidb-loadgen -check loadgen-a.json
 	rm -f loadgen-a.json loadgen-b.json
 
-# fuzz-smoke runs every Fuzz target in the module for FUZZ_TIME each — the
-# journal and disk-footer decoders, the table loader, the /crawl stream
-# decoders and the wire codec's differential targets, which check the
-# hand-written codec against encoding/json on every input they generate.
+# fuzz-smoke runs every Fuzz target in the module for 5s each on two
+# workers — the journal and disk-footer decoders, the table loader, the
+# /crawl stream decoders and the wire codec's differential targets, which
+# check the hand-written codec against encoding/json on every input they
+# generate.
 fuzz-smoke: build
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
 			echo "fuzz $$pkg $$target"; \
-			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZ_TIME) -parallel $(FUZZ_WORKERS) $$pkg; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 5s -parallel 2 $$pkg; \
 		done; \
 	done
 

@@ -253,31 +253,6 @@ func (q Query) Disjoint(r Query) bool {
 	return false
 }
 
-// Key returns a canonical string for the query, usable as a cache key. Two
-// queries over the same schema have equal keys iff they specify identical
-// predicates.
-func (q Query) Key() string {
-	var b strings.Builder
-	b.Grow(16 * len(q.preds))
-	for i, p := range q.preds {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		if q.schema.Attr(i).Kind == Categorical {
-			if p.Wild {
-				b.WriteByte('*')
-			} else {
-				b.WriteString(strconv.FormatInt(p.Value, 10))
-			}
-		} else {
-			b.WriteString(strconv.FormatInt(p.Lo, 10))
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatInt(p.Hi, 10))
-		}
-	}
-	return b.String()
-}
-
 // Key-encoding tags. Each predicate contributes a tag byte followed by its
 // fixed-width operands, so two queries over the same schema produce equal
 // encodings iff their predicates are identical.
@@ -287,11 +262,17 @@ const (
 	keyRange = 0x02 // numeric range, 8-byte lo + 8-byte hi
 )
 
+// KeyBufLen sizes the stack buffers callers build AppendKey keys in: a
+// numeric predicate takes 17 bytes, so 256 bytes hold the keys of schemas
+// with up to 15 numeric attributes (adult's keys are 174 bytes) without
+// spilling to the heap. Longer keys still work; they just allocate.
+const KeyBufLen = 256
+
 // AppendKey appends a compact binary canonical key for the query to dst and
-// returns the extended slice. It is the allocation-free counterpart of Key:
-// with a reused buffer it performs no allocation, which is what
-// hiddendb.Caching's zero-copy memo lookups rely on. Two queries over the
-// same schema have equal keys iff they specify identical predicates.
+// returns the extended slice. With a reused buffer it performs no
+// allocation, which is what the memo, journal and batcher lookups rely on.
+// Two queries over the same schema have equal keys iff they specify
+// identical predicates.
 func (q Query) AppendKey(dst []byte) []byte {
 	for i, p := range q.preds {
 		if q.schema.Attr(i).Kind == Categorical {

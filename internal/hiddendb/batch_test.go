@@ -348,7 +348,7 @@ func TestCountingCachingConcurrent(t *testing.T) {
 			defer wg.Done()
 			qs := batchQueries(sch, 120, 40+uint64(g)%4) // overlapping streams
 			for _, q := range qs {
-				issued.Store(q.Key(), true)
+				issued.Store(string(q.AppendKey(nil)), true)
 			}
 			for i := 0; i < len(qs); i += 6 {
 				if i%2 == 0 {

@@ -1,13 +1,13 @@
 package hiddendb_test
 
-// Caching switched its memo key from the string Query.Key to the binary
-// Query.AppendKey encoding. The test here pins the behavioural contract of
-// that swap from the algorithms' point of view: lazy-slice-cover's query
-// count — the paper's cost metric — must be exactly what the canonical
-// string key would produce. If the binary key were coarser (two different
-// queries colliding), the crawl would receive a wrong cached answer and
-// fail the completeness check; if it were finer (one query under two
-// keys), some canonical key would reach the inner server twice.
+// Caching keys its memo by the binary Query.AppendKey encoding. The test
+// here pins that key's behavioural contract from the algorithms' point of
+// view: lazy-slice-cover's query count — the paper's cost metric — must be
+// exactly what keying by the query's predicates would produce. If the
+// binary key were coarser (two different queries colliding), the crawl
+// would receive a wrong cached answer and fail the completeness check; if
+// it were finer (one query under two keys), some query would reach the
+// inner server twice.
 
 import (
 	"context"
@@ -19,15 +19,15 @@ import (
 	"hidb/internal/hiddendb"
 )
 
-// recorder counts, per canonical string key, how often each distinct query
-// reaches the inner server.
+// recorder counts, per query (keyed by its one-to-one String form), how
+// often each distinct query reaches the inner server.
 type recorder struct {
 	inner hiddendb.Server
 	seen  map[string]int
 }
 
 func (r *recorder) Answer(q dataspace.Query) (hiddendb.Result, error) {
-	r.seen[q.Key()]++
+	r.seen[q.String()]++
 	return r.inner.Answer(context.Background(), q)
 }
 
@@ -50,11 +50,11 @@ func TestLazySliceCoverQueryCountUnchangedByKeySwap(t *testing.T) {
 	}
 	for key, c := range rec.seen {
 		if c > 1 {
-			t.Errorf("query %q reached the server %d times — the binary memo key is finer than the canonical key", key, c)
+			t.Errorf("query %q reached the server %d times — the binary memo key is finer than the query's predicates", key, c)
 		}
 	}
 	if res.Queries != len(rec.seen) {
-		t.Errorf("query cost %d != %d distinct canonical queries — the key swap changed the cost metric",
+		t.Errorf("query cost %d != %d distinct canonical queries — the memo key changed the cost metric",
 			res.Queries, len(rec.seen))
 	}
 }

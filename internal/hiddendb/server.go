@@ -474,7 +474,7 @@ func MemoBatch(
 	// seen maps a miss's binary Query.AppendKey to its forwarded index;
 	// the key is built on the stack, so only a new miss copies it.
 	seen := make(map[string]int)
-	var buf [256]byte
+	var buf [dataspace.KeyBufLen]byte
 	for i, q := range qs {
 		if res, ok := lookup(q); ok {
 			out[i] = res

@@ -222,7 +222,7 @@ func TestCachingHitMissAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		issued++
-		distinct[q.Key()] = true
+		distinct[string(q.AppendKey(nil))] = true
 	}
 	if caching.Hits()+caching.Misses() != issued {
 		t.Fatalf("Hits(%d) + Misses(%d) != %d issued", caching.Hits(), caching.Misses(), issued)

@@ -45,10 +45,6 @@ type Journal struct {
 	order   []string // the entries' keys in insertion order, for deterministic serialization
 }
 
-// keyBufLen sizes the stack buffer query keys are built in: 15 numeric
-// attributes' worth, beyond which AppendKey spills to the heap.
-const keyBufLen = 256
-
 // New creates an empty journal for a server with the given schema and
 // return limit.
 func New(schema *dataspace.Schema, k int) *Journal {
@@ -74,7 +70,7 @@ func (j *Journal) Len() int {
 
 // Lookup returns the recorded response for q, if any.
 func (j *Journal) Lookup(q dataspace.Query) (hiddendb.Result, bool) {
-	var buf [keyBufLen]byte
+	var buf [dataspace.KeyBufLen]byte
 	kb := q.AppendKey(buf[:0])
 	j.mu.RLock()
 	res, ok := j.entries[string(kb)]
@@ -85,7 +81,7 @@ func (j *Journal) Lookup(q dataspace.Query) (hiddendb.Result, bool) {
 // Record stores the response for q. Recording the same query twice is a
 // no-op (responses are stable by the problem setup).
 func (j *Journal) Record(q dataspace.Query, res hiddendb.Result) {
-	var buf [keyBufLen]byte
+	var buf [dataspace.KeyBufLen]byte
 	kb := q.AppendKey(buf[:0])
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -215,7 +211,7 @@ func Wrap(inner hiddendb.Server, j *Journal) (*Server, error) {
 // crawl is still winding down server-side could race it to the same
 // journal miss and be charged twice for one logical query.
 func (s *Server) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	var buf [keyBufLen]byte
+	var buf [dataspace.KeyBufLen]byte
 	kb := q.AppendKey(buf[:0])
 	for {
 		if res, ok := s.journal.Lookup(q); ok {

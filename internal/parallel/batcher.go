@@ -256,7 +256,7 @@ func (b *batcher) Answer(q dataspace.Query) (hiddendb.Result, error) {
 		b.mu.Unlock()
 		return hiddendb.Result{}, nil
 	}
-	var buf [256]byte // room for 15 numeric attributes' keys
+	var buf [dataspace.KeyBufLen]byte
 	kb := q.AppendKey(buf[:0])
 	b.mu.Lock()
 	if f, ok := b.flights[string(kb)]; ok {

@@ -34,7 +34,7 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d queries, want %d", len(got), len(qs))
 	}
 	for i := range got {
-		if got[i].Key() != qs[i].Key() {
+		if string(got[i].AppendKey(nil)) != string(qs[i].AppendKey(nil)) {
 			t.Fatalf("query %d round trip: %s != %s", i, got[i], qs[i])
 		}
 	}

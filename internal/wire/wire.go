@@ -169,22 +169,32 @@ func EncodeQuery(q dataspace.Query) QueryMsg {
 
 // DecodeQuery converts the wire form to a query over the given schema.
 func DecodeQuery(s *dataspace.Schema, msg QueryMsg) (dataspace.Query, error) {
-	states := make([]predState, len(msg.Preds))
-	for i, wp := range msg.Preds {
-		states[i] = predState{wild: wp.Wild, value: optOf(wp.Value), lo: optOf(wp.Lo), hi: optOf(wp.Hi)}
+	if len(msg.Preds) != s.Dims() {
+		return dataspace.Query{}, fmt.Errorf("wire: query has %d predicates, schema has %d attributes", len(msg.Preds), s.Dims())
 	}
-	preds, err := decodePreds(s, states, nil)
-	if err != nil {
-		return dataspace.Query{}, err
+	preds := make([]dataspace.Pred, s.Dims())
+	for i, wp := range msg.Preds {
+		if s.Attr(i).Kind == dataspace.Categorical {
+			switch {
+			case wp.Wild && wp.Value == nil:
+				preds[i] = dataspace.Pred{Wild: true}
+			case !wp.Wild && wp.Value != nil:
+				preds[i] = dataspace.Pred{Value: *wp.Value}
+			default:
+				return dataspace.Query{}, fmt.Errorf("wire: categorical predicate %d must set exactly one of wild/value", i)
+			}
+		} else {
+			lo, hi := dataspace.NegInf, dataspace.PosInf
+			if wp.Lo != nil {
+				lo = *wp.Lo
+			}
+			if wp.Hi != nil {
+				hi = *wp.Hi
+			}
+			preds[i] = dataspace.Pred{Lo: lo, Hi: hi}
+		}
 	}
 	return dataspace.NewQuery(s, preds)
-}
-
-func optOf(p *int64) optInt {
-	if p == nil {
-		return optInt{}
-	}
-	return optInt{set: true, v: *p}
 }
 
 // EncodeResult converts a server response to the wire form.
